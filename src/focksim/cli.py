@@ -73,12 +73,16 @@ class Experiment:
 def _parse_value(param: Param, raw: str):
     try:
         if param.kind == "float":
-            return float(raw)
-        if param.kind == "int":
+            value = float(raw)
+        elif param.kind == "int":
             return int(raw)
-        return raw
+        else:
+            return raw
     except ValueError:
         raise ConfigError(f"parameter {param.name!r} expects a {param.kind}, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"parameter {param.name!r} must be finite, got {raw!r}")
+    return value
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -149,6 +153,13 @@ def _check_pair(typed: dict) -> list[str]:
     return []
 
 
+def _check_cascade(typed: dict) -> list[str]:
+    errors = _check_pair(typed)
+    if typed["k"] < 1:
+        errors.append("parameter 'k' must be at least 1")
+    return errors
+
+
 # -- experiment runners ---------------------------------------------------
 
 
@@ -213,10 +224,13 @@ def run_psi_theta(typed: dict) -> list[tuple]:
 
 def _check_ghz(typed: dict) -> list[str]:
     errors = _check_seed(typed)
-    try:
-        decode_table(typed["alpha"], typed["theta"])
-    except ValueError as exc:
-        errors.append(f"parameter 'theta' rejected: {exc}")
+    if typed["alpha"] <= 0:
+        errors.append("parameter 'alpha' must be positive")
+    else:
+        try:
+            decode_table(typed["alpha"], typed["theta"])
+        except ValueError as exc:
+            errors.append(f"parameter 'theta' rejected: {exc}")
     if typed.get("samples", 0) > 0 and typed.get("seed") is None:
         errors.append("parameter 'seed' is required when samples > 0")
     return errors
@@ -342,7 +356,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             + _PROBE_PARAMS
             + (_OUTPUT_PARAM,),
             runner=run_cascade,
-            checker=_check_pair,
+            checker=_check_cascade,
         ),
         Experiment(
             name="symmetry-detect",

@@ -5,6 +5,10 @@ combination of output creation operators (matrix entry ``[i][j]`` is the
 coefficient of output mode ``j`` when substituting input mode ``i``) and is
 applied to a ket by exact multinomial re-expansion, so photon number and
 norm are conserved to machine precision.
+
+The substitution rows (the nonzero entries of each matrix row) are built
+once, when the transform is constructed, so applying it to many small kets
+costs only the expansion itself.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ UNITARITY_TOLERANCE = 1e-12
 class ModeTransform:
     """Unitary substitution rule on the creation operators of a register."""
 
-    __slots__ = ("_register", "_matrix")
+    __slots__ = ("_register", "_matrix", "_rows")
 
     def __init__(self, register: ModeRegister, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=complex)
@@ -35,6 +39,11 @@ class ModeTransform:
         self._register = register
         self._matrix = matrix.copy()
         self._matrix.setflags(write=False)
+        # substitution rows: the nonzero (output mode, coefficient) pairs per input mode
+        self._rows = tuple(
+            tuple((int(j), self._matrix[i, j]) for j in np.flatnonzero(self._matrix[i]))
+            for i in range(n)
+        )
 
     @property
     def register(self) -> ModeRegister:
@@ -54,12 +63,8 @@ class ModeTransform:
         """Substitute and re-expand every creation operator of the ket."""
         if ket.register != self._register:
             raise ValueError("ket register does not match transform register")
-        rows = [
-            [(j, self._matrix[i, j]) for j in range(len(self._register))
-             if self._matrix[i, j] != 0.0]
-            for i in range(len(self._register))
-        ]
         out: dict[tuple[int, ...], complex] = {}
+        rows = self._rows
         zero = (0,) * len(self._register)
         for occ, amp in ket.items():
             prefactor = amp
@@ -81,7 +86,7 @@ class ModeTransform:
 
 def _distribute_mode(
     partial: dict[tuple[int, ...], complex],
-    row: list[tuple[int, complex]],
+    row: tuple[tuple[int, complex], ...],
     m: int,
 ) -> dict[tuple[int, ...], complex]:
     """Multiply by the multinomial expansion of (sum_j r_j a_j^dag)^m."""

@@ -27,10 +27,14 @@ class ProbeTaggedState:
     """Signal ket whose branches are tagged with exact probe-phase indices.
 
     Branch keys are ``(occupation, phase_index)``; the physical probe phase
-    of a branch is ``phase_index * theta / 2``.
+    of a branch is ``phase_index * theta / 2``.  The state is immutable, so
+    the values every homodyne draw reads (norm, phase groups, peak centres)
+    are computed on first use and kept.
     """
 
-    __slots__ = ("_register", "_terms", "_alpha", "_theta")
+    __slots__ = (
+        "_register", "_terms", "_alpha", "_theta", "_norm_squared", "_groups", "_conditioning",
+    )
 
     def __init__(
         self,
@@ -53,6 +57,9 @@ class ProbeTaggedState:
         self._terms = pruned
         self._alpha = float(alpha)
         self._theta = float(theta)
+        self._norm_squared: float | None = None
+        self._groups: tuple[tuple[int, float, float], ...] | None = None
+        self._conditioning: tuple[tuple[tuple[int, ...], complex, float, float], ...] | None = None
 
     @property
     def register(self) -> ModeRegister:
@@ -74,7 +81,9 @@ class ProbeTaggedState:
 
     @property
     def norm_squared(self) -> float:
-        return sum(abs(a) ** 2 for a in self._terms.values())
+        if self._norm_squared is None:
+            self._norm_squared = sum(abs(a) ** 2 for a in self._terms.values())
+        return self._norm_squared
 
     @property
     def is_normalized(self) -> bool:
@@ -83,12 +92,37 @@ class ProbeTaggedState:
     def phase_of(self, index: int) -> float:
         return index * self._theta / 2.0
 
+    def peak_center(self, index: int) -> float:
+        """Homodyne peak ``2 alpha cos(phase)`` of the branches at one phase index."""
+        return 2.0 * self._alpha * math.cos(self.phase_of(index))
+
     def group_weights(self) -> dict[int, float]:
         """Total squared amplitude per phase index, in index order."""
-        weights: dict[int, float] = {}
-        for (_, idx), amp in self._terms.items():
-            weights[idx] = weights.get(idx, 0.0) + abs(amp) ** 2
-        return dict(sorted(weights.items()))
+        return {idx: weight for idx, weight, _ in self.phase_groups()}
+
+    def phase_groups(self) -> tuple[tuple[int, float, float], ...]:
+        """``(phase index, total squared amplitude, peak centre)`` per group, in index order."""
+        if self._groups is None:
+            weights: dict[int, float] = {}
+            for (_, idx), amp in self._terms.items():
+                weights[idx] = weights.get(idx, 0.0) + abs(amp) ** 2
+            self._groups = tuple(
+                (idx, weight, self.peak_center(idx)) for idx, weight in sorted(weights.items())
+            )
+        return self._groups
+
+    def _conditioning_terms(self) -> tuple[tuple[tuple[int, ...], complex, float, float], ...]:
+        """``(occupation, amplitude, peak centre, alpha sin(phase))`` per branch.
+
+        Conditioning on ``x`` weights a branch by
+        ``exp(-(x - centre)^2 / 4) exp(i alpha sin(phase) (x - centre))``.
+        """
+        if self._conditioning is None:
+            self._conditioning = tuple(
+                (occ, amp, self.peak_center(idx), self._alpha * math.sin(self.phase_of(idx)))
+                for (occ, idx), amp in self._terms.items()
+            )
+        return self._conditioning
 
     def branch(self, index: int) -> FockKet | None:
         """Renormalized signal component at one phase index, if present."""
@@ -164,8 +198,7 @@ def homodyne_pdf(state: ProbeTaggedState, x: float) -> float:
     ``2 alpha cos(phase)`` and weighted by the group's squared amplitude.
     """
     total = 0.0
-    for idx, weight in state.group_weights().items():
-        center = 2.0 * state.alpha * math.cos(state.phase_of(idx))
+    for _, weight, center in state.phase_groups():
         total += weight * _INV_SQRT_2PI * math.exp(-0.5 * (x - center) ** 2)
     return total
 
@@ -178,16 +211,12 @@ def homodyne_condition(state: ProbeTaggedState, x: float) -> FockKet | None:
     the outcome has zero density (empty outcome, not an error).
     """
     out: dict[tuple[int, ...], complex] = {}
-    for (occ, idx), amp in state.items():
-        phase = state.phase_of(idx)
-        offset = x - 2.0 * state.alpha * math.cos(phase)
+    for occ, amp, center, rate in state._conditioning_terms():
+        offset = x - center
         weight = math.exp(-0.25 * offset * offset)
         if weight == 0.0:
             continue
-        factor = weight * complex(
-            math.cos(state.alpha * math.sin(phase) * offset),
-            math.sin(state.alpha * math.sin(phase) * offset),
-        )
+        factor = weight * complex(math.cos(rate * offset), math.sin(rate * offset))
         out[occ] = out.get(occ, 0.0) + amp * factor
     conditioned = FockKet(state.register, out)
     if conditioned.norm_squared == 0.0:
@@ -230,17 +259,14 @@ def sample_homodyne(state: ProbeTaggedState, rng) -> HomodyneOutcome:
     if not state.is_normalized:
         raise ValueError("sampling needs a normalized probe-tagged state")
     rng = make_rng(rng)
-    groups = state.group_weights()
-    total = sum(groups.values())
+    groups = state.phase_groups()
+    total = sum(weight for _, weight, _ in groups)
     draw = rng.random() * total
-    chosen = next(iter(groups))
     acc = 0.0
-    for idx, weight in groups.items():
+    for chosen, weight, center in groups:
         acc += weight
-        chosen = idx
         if draw < acc:
             break
-    center = 2.0 * state.alpha * math.cos(state.phase_of(chosen))
     x = float(rng.normal(loc=center, scale=1.0))
     conditional = homodyne_condition(state, x)
     if conditional is None:

@@ -318,25 +318,60 @@ def tagged_circuit_state(state: FockKet, alpha: float, theta: float):
 MIN_DECODABLE_DENSITY = 1e-300
 
 
-def _undo_and_repair(conditioned: FockKet, x: float, table: GhzDecodeTable, splitters) -> tuple[FockKet, int]:
-    for splitter in splitters:
-        conditioned = splitter.apply(conditioned)
-    conditioned = conditioned.restricted(SCHEME_SPATIALS)
-    interval = table.lookup(x)
-    repaired = spin_flip(conditioned, interval.flips)
-    phi = table.alpha * math.sin(interval.branch * table.theta) * (
-        x - 2.0 * table.alpha * math.cos(interval.branch * table.theta)
-    )
-    if phi != 0.0:
-        # after the flips the surviving pair is the uniform one; a phase of
-        # -2 phi on the H mode of the first output cancels the relative phase
-        h_index = scheme_register.index("c1", "H")
-        out: dict[tuple[int, ...], complex] = {}
-        for occ, amp in repaired.items():
-            angle = 2.0 * phi * occ[h_index]
-            out[occ] = amp * complex(math.cos(angle), -math.sin(angle))
-        repaired = FockKet(scheme_register, out)
-    return repaired, interval.index
+class _GhzReadout:
+    """The extraction circuit compiled once for a fixed set of occupations.
+
+    A tracer ket carries every source occupation, with its position in
+    ``sources`` (from 1) as amplitude, through the tap-undoing splitters and
+    the restriction to the scheme modes.  A relabelling keeps every
+    amplitude exactly, which is checked, so each traced amplitude names the
+    occupation it started from.  An interval's map, built on first use,
+    adds its spin flips; a conditioned ket over the sources then costs one
+    pass over its terms.
+    """
+
+    def __init__(self, table: GhzDecodeTable, splitters, sources: list[tuple[int, ...]]):
+        tags = {occ: tag for tag, occ in enumerate(sources, start=1)}
+        tracer = FockKet(splitters[0].register, tags)
+        for splitter in splitters:
+            tracer = splitter.apply(tracer)
+        undone = tracer.restricted(SCHEME_SPATIALS)
+        if [tag for _, tag in undone.items()] != list(range(1, len(sources) + 1)):
+            raise ValueError("undoing the taps is not a relabelling of basis states")
+        self.table = table
+        self._sources = sources
+        self._undone = undone
+        self._maps: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
+
+    def relabel(self, interval: DecodeInterval) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Occupation map of one interval: undo the taps, restrict, flip."""
+        mapping = self._maps.get(interval.index)
+        if mapping is None:
+            flipped = spin_flip(self._undone, interval.flips)
+            mapping = {self._sources[int(tag.real) - 1]: occ for occ, tag in flipped.items()}
+            self._maps[interval.index] = mapping
+        return mapping
+
+    def repair(self, conditioned: FockKet, x: float) -> tuple[FockKet, int]:
+        """Relabel a conditioned ket into the scheme modes and repair its phase."""
+        table = self.table
+        interval = table.lookup(x)
+        relabel = self.relabel(interval)
+        phi = table.alpha * math.sin(interval.branch * table.theta) * (
+            x - table.peak_center(interval)
+        )
+        if phi == 0.0:
+            terms = {relabel[occ]: amp for occ, amp in conditioned.items()}
+        else:
+            # after the flips the surviving pair is the uniform one; a phase of
+            # -2 phi on the H mode of the first output cancels the relative phase
+            h_index = scheme_register.index("c1", "H")
+            terms = {}
+            for occ, amp in conditioned.items():
+                target = relabel[occ]
+                angle = 2.0 * phi * target[h_index]
+                terms[target] = amp * complex(math.cos(angle), -math.sin(angle))
+        return FockKet(scheme_register, terms), interval.index
 
 
 def ghz_circuit(
@@ -369,7 +404,9 @@ def ghz_circuit(
         conditioned = homodyne_condition(tagged, x)
         if conditioned is None:
             return None, table.lookup(x).index
-    return _undo_and_repair(conditioned, x, table, splitters)
+    # one outcome: compile the readout for the conditioned terms only
+    readout = _GhzReadout(table, splitters, [occ for occ, _ in conditioned.items()])
+    return readout.repair(conditioned, x)
 
 
 def sample_ghz_circuit(
@@ -382,15 +419,18 @@ def sample_ghz_circuit(
     """Draw repeated homodyne outcomes from one tapped state.
 
     Returns ``(corrected state, interval index, x)`` per draw; the probe
-    interaction is computed once, so bulk statistics stay cheap.
+    interaction and the readout are compiled once, for every occupation of
+    the tagged state, so a draw costs one conditioning and one relabelling.
     """
     table = decode_table(alpha, theta)
     tagged, splitters = tagged_circuit_state(state, alpha, theta)
+    sources = list(dict.fromkeys(occ for (occ, _), _ in tagged.items()))
+    readout = _GhzReadout(table, splitters, sources)
     rng = make_rng(rng)
     results = []
     for _ in range(int(samples)):
         outcome = sample_homodyne(tagged, rng)
-        repaired, interval = _undo_and_repair(outcome.conditional, outcome.x, table, splitters)
+        repaired, interval = readout.repair(outcome.conditional, outcome.x)
         results.append((repaired, interval, outcome.x))
     return results
 
@@ -399,13 +439,11 @@ def interval_probabilities(state: FockKet, alpha: float, theta: float) -> tuple[
     """Exact probability of each homodyne interval for the tapped state."""
     table = decode_table(alpha, theta)
     tagged, _ = tagged_circuit_state(state, alpha, theta)
-    groups = tagged.group_weights()
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     probabilities = []
     for interval in table.intervals:
         total = 0.0
-        for idx, weight in groups.items():
-            center = 2.0 * alpha * math.cos(idx * theta / 2.0)
+        for _, weight, center in tagged.phase_groups():
             hi = 1.0 if math.isinf(interval.x_hi) else 0.5 * (
                 1.0 + math.erf((interval.x_hi - center) * inv_sqrt2)
             )

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -228,3 +229,42 @@ class TestErrorPaths:
     def test_wrong_type_named(self, capsys):
         assert run_cli("run", "cascade", "m0=0", "n0=0.7", "k=three") == 2
         assert "'k'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (("ghz-circuit", "theta=nan"), "theta"),
+            (("pdc-weights", "tau=nan"), "tau"),
+            (("cascade", *START_PAIR, "k=-1"), "k"),
+            (("homodyne-sweep", "m0=0.70710678", "n0=0", "theta=inf"), "theta"),
+            (("ghz-circuit", "alpha=inf"), "alpha"),
+            (("ghz-circuit", "alpha=0"), "alpha"),
+        ],
+    )
+    def test_bad_value_exits_2_naming_it(self, out_dir, capsys, args, name):
+        assert run_cli("run", *args) == 2
+        err = capsys.readouterr().err
+        assert f"parameter '{name}'" in err
+        assert not any(out_dir.iterdir())
+
+    def test_validate_rejects_non_finite_value(self, tmp_path, capsys):
+        path = tmp_path / "job.cfg"
+        path.write_text("experiment = pdc-weights\ntau = nan\n")
+        assert run_cli("validate", str(path)) == 2
+        assert "parameter 'tau' must be finite" in capsys.readouterr().out
+
+
+# SHA-256 of CSV + .meta bytes, recorded before the compiled readout replaced
+# the per-draw tap undo; a faster readout must not move them
+GHZ_DIGESTS = {
+    ("samples=2000", "seed=42"): "316a49abac9023182457a0eab78b1e75143997ea3ff7621b44cb90658a55500a",
+    ("samples=0",): "20f1d74e33e31a0c005a46914dcc923a36ba38c3086b18e22c11fe6d5a0272c4",
+}
+
+
+@pytest.mark.parametrize("args", list(GHZ_DIGESTS))
+def test_ghz_circuit_output_bytes_are_pinned(out_dir, args):
+    assert run_cli("run", "ghz-circuit", *args) == 0
+    csv = out_dir / "ghz-circuit.csv"
+    digest = hashlib.sha256(csv.read_bytes() + (out_dir / "ghz-circuit.csv.meta").read_bytes())
+    assert digest.hexdigest() == GHZ_DIGESTS[args]

@@ -19,6 +19,7 @@ from focksim import (
     tagged_circuit_state,
     w_pair_state,
 )
+from focksim.kerr import homodyne_condition, sample_homodyne
 
 ALPHA, THETA = 1000.0, 0.1
 HALF_PI = math.pi / 2.0
@@ -281,3 +282,54 @@ class TestGhzCircuit:
         )
         with pytest.raises(ValueError, match="one photon"):
             ghz_circuit(bad, ALPHA, THETA, x=0.0)
+
+
+def per_draw_readout(conditioned, x, table, splitters):
+    """The per-draw readout the compiled maps replace, written out step by step."""
+    for splitter in splitters:
+        conditioned = splitter.apply(conditioned)
+    conditioned = conditioned.restricted(("c1", "c2", "c3", "d1", "d2", "d3"))
+    interval = table.lookup(x)
+    repaired = spin_flip(conditioned, interval.flips)
+    phi = table.alpha * math.sin(interval.branch * table.theta) * (
+        x - 2.0 * table.alpha * math.cos(interval.branch * table.theta)
+    )
+    if phi != 0.0:
+        h_index = scheme_register.index("c1", "H")
+        repaired = FockKet(
+            scheme_register,
+            {
+                occ: amp * complex(math.cos(2.0 * phi * occ[h_index]), -math.sin(2.0 * phi * occ[h_index]))
+                for occ, amp in repaired.items()
+            },
+        )
+    return repaired, interval.index
+
+
+class TestCompiledReadout:
+    def test_sampled_draws_match_per_draw_readout(self):
+        state = build_psi_theta(HALF_PI).state
+        table = decode_table(ALPHA, THETA)
+        tagged, splitters = tagged_circuit_state(state, ALPHA, THETA)
+        compiled = sample_ghz_circuit(state, ALPHA, THETA, make_rng(2024), 300)
+        rng = make_rng(2024)
+        for corrected, interval, x in compiled:
+            outcome = sample_homodyne(tagged, rng)
+            expected, expected_interval = per_draw_readout(outcome.conditional, outcome.x, table, splitters)
+            assert x == outcome.x
+            assert interval == expected_interval
+            assert list(corrected.items()) == list(expected.items())
+
+    def test_exact_outcomes_match_per_draw_readout(self):
+        state = build_psi_theta(HALF_PI).state
+        table = decode_table(ALPHA, THETA)
+        tagged, splitters = tagged_circuit_state(state, ALPHA, THETA)
+        for interval in table.intervals:
+            for shift in (0.0, 0.8, -1.3):
+                x = table.peak_center(interval) + shift
+                corrected, index = ghz_circuit(state, ALPHA, THETA, x=x)
+                expected, expected_index = per_draw_readout(
+                    homodyne_condition(tagged, x), x, table, splitters
+                )
+                assert index == expected_index
+                assert list(corrected.items()) == list(expected.items())

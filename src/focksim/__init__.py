@@ -19,6 +19,7 @@ from .detector import (
     apply_phase_correction,
     cascade_closed_form,
     cascade_simulate,
+    decide_and_repair,
     detect,
     detector_probe_state,
     symmetric_success_probability,
@@ -56,6 +57,8 @@ from .kerr import (
     homodyne_pdf,
     make_rng,
     midpoint_threshold,
+    peak_center,
+    repair_phase,
     sample_homodyne,
 )
 from .pdc import (
@@ -70,6 +73,7 @@ from .pdc import (
 from .schemes import (
     DecodeInterval,
     GhzDecodeTable,
+    GhzReadout,
     SchemeResult,
     build_psi_theta,
     decode_table,

@@ -25,24 +25,22 @@ import numpy as np
 from . import __version__
 from .detector import (
     CoefficientPair,
-    apply_phase_correction,
     cascade_closed_form,
     cascade_simulate,
+    decide_and_repair,
     detect,
     detector_probe_state,
     twin_beam_state,
 )
 from .fock import CapacityError, format_float
-from .kerr import homodyne_condition, homodyne_pdf, make_rng, midpoint_threshold
+from .kerr import homodyne_condition, homodyne_pdf, make_rng, peak_center
 from .pdc import six_photon_mixture, squeezed_weights
 from .schemes import (
+    GhzReadout,
     build_psi_theta,
     decode_table,
-    ghz_circuit,
     ghz_state,
-    interval_probabilities,
     psi_theta_reference,
-    sample_ghz_circuit,
     w_pair_state,
 )
 
@@ -147,17 +145,32 @@ def _check_seed(typed: dict) -> list[str]:
     return []
 
 
-def _check_pair(typed: dict) -> list[str]:
-    if typed.get("m0") == 0.0 and typed.get("n0") == 0.0:
-        return ["parameters 'm0' and 'n0' must not both be zero"]
+def _check_grid(typed: dict) -> list[str]:
+    if typed["grid"] < 2:
+        return ["parameter 'grid' must be at least 2"]
     return []
 
 
+def _check_detector(typed: dict) -> list[str]:
+    errors = []
+    if typed["m0"] == 0.0 and typed["n0"] == 0.0:
+        errors.append("parameters 'm0' and 'n0' must not both be zero")
+    if typed["alpha"] < 0:
+        errors.append("parameter 'alpha' must be non-negative")
+    if typed["theta"] <= 0:
+        errors.append("parameter 'theta' must be positive")
+    return errors
+
+
 def _check_cascade(typed: dict) -> list[str]:
-    errors = _check_pair(typed)
+    errors = _check_detector(typed)
     if typed["k"] < 1:
         errors.append("parameter 'k' must be at least 1")
     return errors
+
+
+def _check_sweep(typed: dict) -> list[str]:
+    return _check_detector(typed) + _check_grid(typed)
 
 
 # -- experiment runners ---------------------------------------------------
@@ -201,8 +214,6 @@ def run_symmetry_detect(typed: dict) -> list[tuple]:
 
 def run_psi_theta(typed: dict) -> list[tuple]:
     grid = typed["grid"]
-    if grid < 2:
-        raise ConfigError("parameter 'grid' must be at least 2")
     ghz_ref = ghz_state()
     w_ref = w_pair_state(False)
     w_ref_flipped = w_pair_state(True)
@@ -224,6 +235,8 @@ def run_psi_theta(typed: dict) -> list[tuple]:
 
 def _check_ghz(typed: dict) -> list[str]:
     errors = _check_seed(typed)
+    if typed["samples"] < 0:
+        errors.append("parameter 'samples' must be non-negative")
     if typed["alpha"] <= 0:
         errors.append("parameter 'alpha' must be positive")
     else:
@@ -231,48 +244,36 @@ def _check_ghz(typed: dict) -> list[str]:
             decode_table(typed["alpha"], typed["theta"])
         except ValueError as exc:
             errors.append(f"parameter 'theta' rejected: {exc}")
-    if typed.get("samples", 0) > 0 and typed.get("seed") is None:
+    if typed["samples"] > 0 and typed.get("seed") is None:
         errors.append("parameter 'seed' is required when samples > 0")
     return errors
 
 
 def run_ghz_circuit(typed: dict) -> list[tuple]:
-    alpha, theta = typed["alpha"], typed["theta"]
-    table = decode_table(alpha, theta)
-    prepared = build_psi_theta(math.pi / 2.0).state
+    readout = GhzReadout(build_psi_theta(math.pi / 2.0).state, typed["alpha"], typed["theta"])
+    table = readout.table
     target = ghz_state()
-    samples = typed.get("samples", 0)
-    rows = []
+    samples = typed["samples"]
     if samples > 0:
         rng = make_rng(typed["seed"])
         counts = [0] * len(table.intervals)
         fidelity_sums = [0.0] * len(table.intervals)
-        for corrected, interval, _ in sample_ghz_circuit(prepared, alpha, theta, rng, samples):
-            counts[interval] += 1
-            fidelity_sums[interval] += corrected.fidelity(target)
+        for _ in range(samples):
+            corrected, index, _ = readout.sample(rng)
+            counts[index] += 1
+            fidelity_sums[index] += corrected.fidelity(target)
+        probabilities = [count / samples for count in counts]
+        fidelities = [total / count if count else math.nan for total, count in zip(fidelity_sums, counts)]
+    else:
+        probabilities = readout.probabilities()
+        fidelities = []
         for interval in table.intervals:
-            i = interval.index
-            frequency = counts[i] / samples
-            fidelity = fidelity_sums[i] / counts[i] if counts[i] else math.nan
-            rows.append(
-                (i, interval.branch, interval.x_lo, interval.x_hi, frequency, fidelity)
-            )
-        return rows
-    probabilities = interval_probabilities(prepared, alpha, theta)
-    for interval in table.intervals:
-        corrected, _ = ghz_circuit(prepared, alpha, theta, x=table.peak_center(interval))
-        fidelity = corrected.fidelity(target) if corrected is not None else 0.0
-        rows.append(
-            (
-                interval.index,
-                interval.branch,
-                interval.x_lo,
-                interval.x_hi,
-                probabilities[interval.index],
-                fidelity,
-            )
-        )
-    return rows
+            corrected, _ = readout.condition(table.peak_center(interval))
+            fidelities.append(corrected.fidelity(target) if corrected is not None else 0.0)
+    return [
+        (interval.index, interval.branch, interval.x_lo, interval.x_hi, probability, fidelity)
+        for interval, probability, fidelity in zip(table.intervals, probabilities, fidelities)
+    ]
 
 
 def _check_pdc(typed: dict) -> list[str]:
@@ -282,6 +283,8 @@ def _check_pdc(typed: dict) -> list[str]:
         return ["exactly one of 'tau' (squeezed expansion) or 'k' (mixture) is required"]
     if has_tau and typed["tau"] < 0:
         return ["parameter 'tau' must be non-negative"]
+    if has_tau and typed["n_max"] < 0:
+        return ["parameter 'n_max' must be non-negative"]
     if has_k and typed["k"] < 1:
         return ["parameter 'k' must be at least 1"]
     return []
@@ -301,36 +304,20 @@ def run_pdc_weights(typed: dict) -> list[tuple]:
 
 def run_homodyne_sweep(typed: dict) -> list[tuple]:
     alpha, theta = typed["alpha"], typed["theta"]
-    grid = typed["grid"]
-    if grid < 2:
-        raise ConfigError("parameter 'grid' must be at least 2")
     pair = _normalized_pair(typed)
     state = twin_beam_state(pair)
     tagged = detector_probe_state(state, alpha, theta)
-    threshold = midpoint_threshold(alpha, theta)
-    symmetric_target = tagged.branch(0)
     asymmetric_target = detect(state, alpha, theta, force="asymmetric").state \
         if abs(pair.m - pair.n) > 1e-12 else None
-    x_lo = 2.0 * alpha * math.cos(theta) - 8.0
-    x_hi = 2.0 * alpha + 8.0
+    # the CSV numbers the high-x (symmetric) interval 0
+    targets = {"symmetric": (0, tagged.branch(0)), "asymmetric": (1, asymmetric_target)}
     rows = []
-    for x in np.linspace(x_lo, x_hi, grid):
+    for x in np.linspace(peak_center(alpha, theta) - 8.0, 2.0 * alpha + 8.0, typed["grid"]):
         x = float(x)
-        pdf = homodyne_pdf(tagged, x)
-        conditioned = homodyne_condition(tagged, x)
-        if x > threshold:
-            interval = 0
-            target = symmetric_target
-        else:
-            interval = 1
-            target = asymmetric_target
-            if conditioned is not None:
-                phi = (alpha * math.sin(theta) * (x - 2.0 * alpha * math.cos(theta))) % (
-                    2.0 * math.pi
-                )
-                conditioned = apply_phase_correction(conditioned, phi, "b")
-        fidelity = conditioned.fidelity(target) if conditioned is not None and target is not None else 0.0
-        rows.append((x, pdf, interval, fidelity))
+        branch, repaired = decide_and_repair(homodyne_condition(tagged, x), x, alpha, theta)
+        interval, target = targets[branch]
+        fidelity = repaired.fidelity(target) if repaired is not None and target is not None else 0.0
+        rows.append((x, homodyne_pdf(tagged, x), interval, fidelity))
     return rows
 
 
@@ -364,7 +351,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             columns="k,m_k,n_k,ratio,C_k,step_success_prob,cumulative_prob,fidelity_psi3",
             params=_PAIR_PARAMS + _PROBE_PARAMS + (_OUTPUT_PARAM,),
             runner=run_symmetry_detect,
-            checker=_check_pair,
+            checker=_check_detector,
         ),
         Experiment(
             name="psi-theta",
@@ -375,6 +362,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                 _OUTPUT_PARAM,
             ),
             runner=run_psi_theta,
+            checker=_check_grid,
         ),
         Experiment(
             name="ghz-circuit",
@@ -413,7 +401,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                 _OUTPUT_PARAM,
             ),
             runner=run_homodyne_sweep,
-            checker=_check_pair,
+            checker=_check_sweep,
         ),
     )
 }

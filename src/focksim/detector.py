@@ -28,6 +28,7 @@ from .kerr import (
     attach_probe,
     make_rng,
     midpoint_threshold,
+    repair_phase,
     sample_homodyne,
 )
 
@@ -94,6 +95,22 @@ def apply_phase_correction(state: FockKet, phi: float, spatial: str) -> FockKet:
     return FockKet(state.register, out)
 
 
+def decide_and_repair(
+    conditional: FockKet | None, x: float, alpha: float, theta: float
+) -> tuple[str, FockKet | None]:
+    """Branch read from outcome ``x``, and the conditional (or ``None``) repaired for it.
+
+    Only ``x`` above the midpoint threshold reads "symmetric"; an asymmetric
+    outcome's phase, taken modulo 2 pi, is undone on arm ``b``.
+    """
+    if x > midpoint_threshold(alpha, theta):
+        return "symmetric", conditional
+    if conditional is None:
+        return "asymmetric", None
+    phi = repair_phase(alpha, theta, x) % (2.0 * math.pi)
+    return "asymmetric", apply_phase_correction(conditional, phi, "b")
+
+
 def detector_probe_state(state: FockKet, alpha: float, theta: float):
     """Probe-tagged state after the splitter, Kerr wiring, and phase gate."""
     mixed = bs_5050(state.register, "a", "b").apply(state)
@@ -146,12 +163,9 @@ def detect(
     if rng is None:
         raise ValueError("sampled detection needs an rng or seed")
     outcome = sample_homodyne(tagged, make_rng(rng))
-    if outcome.x > midpoint_threshold(alpha, theta):
-        return DetectorOutcome("symmetric", outcome.conditional, p_symmetric, outcome.x)
-    phi = alpha * math.sin(theta) * (outcome.x - 2.0 * alpha * math.cos(theta))
-    phi %= 2.0 * math.pi
-    corrected = apply_phase_correction(outcome.conditional, phi, "b")
-    return DetectorOutcome("asymmetric", corrected, 1.0 - p_symmetric, outcome.x)
+    branch, repaired = decide_and_repair(outcome.conditional, outcome.x, alpha, theta)
+    probability = p_symmetric if branch == "symmetric" else 1.0 - p_symmetric
+    return DetectorOutcome(branch, repaired, probability, outcome.x)
 
 
 # -- cascade analysis ---------------------------------------------------

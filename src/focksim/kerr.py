@@ -23,6 +23,16 @@ from .fock import NORM_TOLERANCE, PRUNE_THRESHOLD, FockKet, ModeRegister
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+def peak_center(alpha: float, phase: float) -> float:
+    """Homodyne peak ``2 alpha cos(phase)`` of a branch at probe phase ``phase``."""
+    return 2.0 * alpha * math.cos(phase)
+
+
+def repair_phase(alpha: float, phase: float, x: float) -> float:
+    """Phase ``alpha sin(phase) (x - peak)`` that outcome ``x`` gives a branch at ``phase``."""
+    return alpha * math.sin(phase) * (x - peak_center(alpha, phase))
+
+
 class ProbeTaggedState:
     """Signal ket whose branches are tagged with exact probe-phase indices.
 
@@ -93,8 +103,8 @@ class ProbeTaggedState:
         return index * self._theta / 2.0
 
     def peak_center(self, index: int) -> float:
-        """Homodyne peak ``2 alpha cos(phase)`` of the branches at one phase index."""
-        return 2.0 * self._alpha * math.cos(self.phase_of(index))
+        """Homodyne peak of the branches at one phase index."""
+        return peak_center(self._alpha, self.phase_of(index))
 
     def group_weights(self) -> dict[int, float]:
         """Total squared amplitude per phase index, in index order."""

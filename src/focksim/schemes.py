@@ -23,6 +23,8 @@ from .kerr import (
     homodyne_condition,
     homodyne_pdf,
     make_rng,
+    peak_center,
+    repair_phase,
     sample_homodyne,
 )
 from .pdc import singlet_form
@@ -195,7 +197,7 @@ class GhzDecodeTable:
         return self.intervals[-1]
 
     def peak_center(self, interval: DecodeInterval) -> float:
-        return 2.0 * self.alpha * math.cos(interval.branch * self.theta)
+        return peak_center(self.alpha, interval.branch * self.theta)
 
 
 def _branch_patterns() -> dict[int, tuple[str, str]]:
@@ -318,19 +320,22 @@ def tagged_circuit_state(state: FockKet, alpha: float, theta: float):
 MIN_DECODABLE_DENSITY = 1e-300
 
 
-class _GhzReadout:
-    """The extraction circuit compiled once for a fixed set of occupations.
+class GhzReadout:
+    """The extraction circuit for one prepared state, tagged and compiled once.
 
-    A tracer ket carries every source occupation, with its position in
-    ``sources`` (from 1) as amplitude, through the tap-undoing splitters and
-    the restriction to the scheme modes.  A relabelling keeps every
-    amplitude exactly, which is checked, so each traced amplitude names the
-    occupation it started from.  An interval's map, built on first use,
-    adds its spin flips; a conditioned ket over the sources then costs one
-    pass over its terms.
+    A tracer ket carries every tagged occupation, with its position (from
+    1) as amplitude, through the tap-undoing splitters and the restriction
+    to the scheme modes.  A
+    relabelling keeps every amplitude exactly, which is checked, so each
+    traced amplitude names the occupation it started from.  An interval's
+    map, built on first use, adds its spin flips; reading out a conditioned
+    ket then costs one pass over its terms.
     """
 
-    def __init__(self, table: GhzDecodeTable, splitters, sources: list[tuple[int, ...]]):
+    def __init__(self, state: FockKet, alpha: float, theta: float):
+        self.table = decode_table(alpha, theta)
+        self._tagged, splitters = tagged_circuit_state(state, alpha, theta)
+        sources = list(dict.fromkeys(occ for (occ, _), _ in self._tagged.items()))
         tags = {occ: tag for tag, occ in enumerate(sources, start=1)}
         tracer = FockKet(splitters[0].register, tags)
         for splitter in splitters:
@@ -338,28 +343,21 @@ class _GhzReadout:
         undone = tracer.restricted(SCHEME_SPATIALS)
         if [tag for _, tag in undone.items()] != list(range(1, len(sources) + 1)):
             raise ValueError("undoing the taps is not a relabelling of basis states")
-        self.table = table
         self._sources = sources
         self._undone = undone
         self._maps: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
 
-    def relabel(self, interval: DecodeInterval) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """Occupation map of one interval: undo the taps, restrict, flip."""
-        mapping = self._maps.get(interval.index)
-        if mapping is None:
-            flipped = spin_flip(self._undone, interval.flips)
-            mapping = {self._sources[int(tag.real) - 1]: occ for occ, tag in flipped.items()}
-            self._maps[interval.index] = mapping
-        return mapping
-
-    def repair(self, conditioned: FockKet, x: float) -> tuple[FockKet, int]:
+    def _repair(self, conditioned: FockKet, x: float) -> tuple[FockKet, int]:
         """Relabel a conditioned ket into the scheme modes and repair its phase."""
         table = self.table
         interval = table.lookup(x)
-        relabel = self.relabel(interval)
-        phi = table.alpha * math.sin(interval.branch * table.theta) * (
-            x - table.peak_center(interval)
-        )
+        relabel = self._maps.get(interval.index)
+        if relabel is None:
+            # the interval's occupation map: undo the taps, restrict, flip
+            flipped = spin_flip(self._undone, interval.flips)
+            relabel = {self._sources[int(tag.real) - 1]: occ for occ, tag in flipped.items()}
+            self._maps[interval.index] = relabel
+        phi = repair_phase(table.alpha, interval.branch * table.theta, x)
         if phi == 0.0:
             terms = {relabel[occ]: amp for occ, amp in conditioned.items()}
         else:
@@ -372,6 +370,42 @@ class _GhzReadout:
                 angle = 2.0 * phi * target[h_index]
                 terms[target] = amp * complex(math.cos(angle), -math.sin(angle))
         return FockKet(scheme_register, terms), interval.index
+
+    def condition(self, x: float) -> tuple[FockKet | None, int]:
+        """Corrected state and interval index for the quadrature outcome ``x``.
+
+        The state is ``None`` when ``x`` has no support: its density is
+        below ``MIN_DECODABLE_DENSITY`` or conditioning leaves no term.
+        """
+        x = float(x)
+        if not math.isfinite(x):
+            raise ValueError(f"quadrature x must be finite, got {x}")
+        conditioned = None
+        if homodyne_pdf(self._tagged, x) >= MIN_DECODABLE_DENSITY:
+            conditioned = homodyne_condition(self._tagged, x)
+        if conditioned is None:
+            return None, self.table.lookup(x).index
+        return self._repair(conditioned, x)
+
+    def sample(self, rng) -> tuple[FockKet, int, float]:
+        """Draw one outcome: ``(corrected state, interval index, x)``."""
+        outcome = sample_homodyne(self._tagged, rng)
+        corrected, index = self._repair(outcome.conditional, outcome.x)
+        return corrected, index, outcome.x
+
+    def probabilities(self) -> tuple[float, ...]:
+        """Exact probability of each homodyne interval."""
+        inv_sqrt2 = 1.0 / math.sqrt(2.0)
+        probabilities = []
+        for interval in self.table.intervals:
+            total = 0.0
+            for _, weight, center in self._tagged.phase_groups():
+                # erf is exactly +-1 at +-inf, so the outer edges need no case
+                hi = 0.5 * (1.0 + math.erf((interval.x_hi - center) * inv_sqrt2))
+                lo = 0.5 * (1.0 + math.erf((interval.x_lo - center) * inv_sqrt2))
+                total += weight * (hi - lo)
+            probabilities.append(total)
+        return tuple(probabilities)
 
 
 def ghz_circuit(
@@ -389,24 +423,13 @@ def ghz_circuit(
     Returns the corrected state and the interval index; the state is
     ``None`` when the requested ``x`` has no support.
     """
-    table = decode_table(alpha, theta)
-    tagged, splitters = tagged_circuit_state(state, alpha, theta)
+    if x is None and rng is None:
+        raise ValueError("either a quadrature value or an rng is required")
+    readout = GhzReadout(state, alpha, theta)
     if x is None:
-        if rng is None:
-            raise ValueError("either a quadrature value or an rng is required")
-        outcome = sample_homodyne(tagged, make_rng(rng))
-        x = outcome.x
-        conditioned = outcome.conditional
-    else:
-        x = float(x)
-        if homodyne_pdf(tagged, x) < MIN_DECODABLE_DENSITY:
-            return None, table.lookup(x).index
-        conditioned = homodyne_condition(tagged, x)
-        if conditioned is None:
-            return None, table.lookup(x).index
-    # one outcome: compile the readout for the conditioned terms only
-    readout = _GhzReadout(table, splitters, [occ for occ, _ in conditioned.items()])
-    return readout.repair(conditioned, x)
+        corrected, index, _ = readout.sample(make_rng(rng))
+        return corrected, index
+    return readout.condition(x)
 
 
 def sample_ghz_circuit(
@@ -418,38 +441,14 @@ def sample_ghz_circuit(
 ) -> list[tuple[FockKet, int, float]]:
     """Draw repeated homodyne outcomes from one tapped state.
 
-    Returns ``(corrected state, interval index, x)`` per draw; the probe
-    interaction and the readout are compiled once, for every occupation of
-    the tagged state, so a draw costs one conditioning and one relabelling.
+    Returns ``(corrected state, interval index, x)`` per draw; the readout
+    is compiled once, so a draw costs one conditioning and one relabelling.
     """
-    table = decode_table(alpha, theta)
-    tagged, splitters = tagged_circuit_state(state, alpha, theta)
-    sources = list(dict.fromkeys(occ for (occ, _), _ in tagged.items()))
-    readout = _GhzReadout(table, splitters, sources)
+    readout = GhzReadout(state, alpha, theta)
     rng = make_rng(rng)
-    results = []
-    for _ in range(int(samples)):
-        outcome = sample_homodyne(tagged, rng)
-        repaired, interval = readout.repair(outcome.conditional, outcome.x)
-        results.append((repaired, interval, outcome.x))
-    return results
+    return [readout.sample(rng) for _ in range(int(samples))]
 
 
 def interval_probabilities(state: FockKet, alpha: float, theta: float) -> tuple[float, ...]:
     """Exact probability of each homodyne interval for the tapped state."""
-    table = decode_table(alpha, theta)
-    tagged, _ = tagged_circuit_state(state, alpha, theta)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    probabilities = []
-    for interval in table.intervals:
-        total = 0.0
-        for _, weight, center in tagged.phase_groups():
-            hi = 1.0 if math.isinf(interval.x_hi) else 0.5 * (
-                1.0 + math.erf((interval.x_hi - center) * inv_sqrt2)
-            )
-            lo = 0.0 if math.isinf(interval.x_lo) else 0.5 * (
-                1.0 + math.erf((interval.x_lo - center) * inv_sqrt2)
-            )
-            total += weight * (hi - lo)
-        probabilities.append(total)
-    return tuple(probabilities)
+    return GhzReadout(state, alpha, theta).probabilities()

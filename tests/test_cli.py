@@ -217,6 +217,18 @@ class TestList:
         assert "columns:" in out
 
 
+# values that `validate` accepted while `run` refused them (or, for
+# samples=-3, ran the exact analysis instead)
+VALIDATE_GAPS = [
+    (("psi-theta", "grid=1"), "grid"),
+    (("homodyne-sweep", *START_PAIR, "grid=1"), "grid"),
+    (("homodyne-sweep", *START_PAIR, "alpha=-5"), "alpha"),
+    (("homodyne-sweep", *START_PAIR, "theta=0"), "theta"),
+    (("pdc-weights", "tau=0.3", "n_max=-1"), "n_max"),
+    (("ghz-circuit", "samples=-3"), "samples"),
+]
+
+
 class TestErrorPaths:
     def test_missing_config_file(self, capsys):
         assert run_cli("run", "/does/not/exist.cfg") == 2
@@ -239,6 +251,7 @@ class TestErrorPaths:
             (("homodyne-sweep", "m0=0.70710678", "n0=0", "theta=inf"), "theta"),
             (("ghz-circuit", "alpha=inf"), "alpha"),
             (("ghz-circuit", "alpha=0"), "alpha"),
+            *VALIDATE_GAPS,
         ],
     )
     def test_bad_value_exits_2_naming_it(self, out_dir, capsys, args, name):
@@ -253,6 +266,13 @@ class TestErrorPaths:
         assert run_cli("validate", str(path)) == 2
         assert "parameter 'tau' must be finite" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("args, name", VALIDATE_GAPS)
+    def test_validate_agrees_with_run(self, tmp_path, capsys, args, name):
+        path = tmp_path / "job.cfg"
+        path.write_text("\n".join((f"experiment = {args[0]}",) + args[1:]) + "\n")
+        assert run_cli("validate", str(path)) == 2
+        assert f"parameter '{name}'" in capsys.readouterr().out
+
 
 # SHA-256 of CSV + .meta bytes, recorded before the compiled readout replaced
 # the per-draw tap undo; a faster readout must not move them
@@ -262,9 +282,22 @@ GHZ_DIGESTS = {
 }
 
 
+# the same for the detector readout; with an odd grid the middle point is
+# exactly the threshold x0 = alpha (1 + cos theta), which reads interval 1
+SWEEP_DIGEST = "8e413a3cd0fe3f0d8fc1180caaedef0f2e1fa4ab4bffc56c8c87f7091d8a4c62"
+
+
 @pytest.mark.parametrize("args", list(GHZ_DIGESTS))
 def test_ghz_circuit_output_bytes_are_pinned(out_dir, args):
     assert run_cli("run", "ghz-circuit", *args) == 0
     csv = out_dir / "ghz-circuit.csv"
     digest = hashlib.sha256(csv.read_bytes() + (out_dir / "ghz-circuit.csv.meta").read_bytes())
     assert digest.hexdigest() == GHZ_DIGESTS[args]
+
+
+def test_homodyne_sweep_output_bytes_are_pinned(out_dir):
+    assert run_cli("run", "homodyne-sweep", "m0=0.6", "n0=0.3", "grid=201") == 0
+    csv = out_dir / "homodyne-sweep.csv"
+    assert csv.read_text().splitlines()[101].split(",")[2] == "1"
+    digest = hashlib.sha256(csv.read_bytes() + (out_dir / "homodyne-sweep.csv.meta").read_bytes())
+    assert digest.hexdigest() == SWEEP_DIGEST

@@ -12,9 +12,12 @@ from focksim import (
     apply_phase_correction,
     cascade_closed_form,
     cascade_simulate,
+    decide_and_repair,
     detect,
     make_rng,
+    midpoint_threshold,
     psi_n,
+    repair_phase,
     symmetric_success_probability,
     twin_beam_register,
     twin_beam_state,
@@ -158,6 +161,17 @@ class TestPhaseCorrection:
     def test_norm_preserved(self):
         state = twin_beam_state(CoefficientPair(0.6, math.sqrt(0.5 - 0.36)))
         assert abs(apply_phase_correction(state, 2.1, "b").norm - 1.0) < 1e-12
+
+    def test_outcome_at_threshold_reads_asymmetric(self):
+        state = twin_beam_state(CoefficientPair(0.6, math.sqrt(0.5 - 0.36)))
+        x0 = midpoint_threshold(ALPHA, THETA)
+        branch, repaired = decide_and_repair(state, x0, ALPHA, THETA)
+        assert branch == "asymmetric"
+        expected = apply_phase_correction(state, repair_phase(ALPHA, THETA, x0) % (2.0 * math.pi), "b")
+        assert list(repaired.items()) == list(expected.items())
+        branch, kept = decide_and_repair(state, math.nextafter(x0, math.inf), ALPHA, THETA)
+        assert branch == "symmetric" and kept is state
+        assert decide_and_repair(None, x0, ALPHA, THETA) == ("asymmetric", None)
 
 
 class TestIterationMatrix:

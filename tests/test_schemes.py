@@ -1,9 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focksim import (
     FockKet,
+    GhzReadout,
     build_psi_theta,
     decode_table,
     ghz_circuit,
@@ -265,6 +268,12 @@ class TestGhzCircuit:
         second = sample_ghz_circuit(state, ALPHA, THETA, 1234, 5)
         assert [(i, x) for _, i, x in first] == [(i, x) for _, i, x in second]
 
+    def test_non_finite_outcome_rejected(self):
+        state = build_psi_theta(HALF_PI).state
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="quadrature x must be finite"):
+                ghz_circuit(state, ALPHA, THETA, x=x)
+
     def test_requires_outcome_or_rng(self):
         state = build_psi_theta(HALF_PI).state
         with pytest.raises(ValueError, match="rng"):
@@ -333,3 +342,48 @@ class TestCompiledReadout:
                 )
                 assert index == expected_index
                 assert list(corrected.items()) == list(expected.items())
+
+
+# probe settings for the property below: the default one, and a weak probe
+# whose peaks sit close enough that nearly every interval edge lies within
+# 9 of a peak
+PROPERTY_PROBES = ((ALPHA, THETA), (20.0, 0.2))
+
+
+def _outcomes_near_peaks(alpha, theta):
+    table = decode_table(alpha, theta)
+    peaks = [table.peak_center(interval) for interval in table.intervals]
+    edges = [
+        x
+        for interval in table.intervals[1:]
+        for x in (interval.x_lo, math.nextafter(interval.x_lo, -math.inf))
+        if min(abs(x - peak) for peak in peaks) <= 9.0
+    ]
+    near = st.builds(lambda peak, offset: peak + offset, st.sampled_from(peaks), st.floats(-9.0, 9.0))
+    return st.one_of(st.sampled_from(edges), near)
+
+
+@pytest.fixture(scope="module")
+def readouts():
+    state = build_psi_theta(HALF_PI).state
+    return {
+        probe: (GhzReadout(state, *probe), *tagged_circuit_state(state, *probe))
+        for probe in PROPERTY_PROBES
+    }
+
+
+@settings(deadline=None)
+@given(
+    data=st.sampled_from(PROPERTY_PROBES).flatmap(
+        lambda probe: st.tuples(st.just(probe), _outcomes_near_peaks(*probe))
+    )
+)
+def test_condition_matches_per_draw_readout_near_every_peak(readouts, data):
+    probe, x = data
+    readout, tagged, splitters = readouts[probe]
+    corrected, index = readout.condition(x)
+    expected, expected_index = per_draw_readout(
+        homodyne_condition(tagged, x), x, decode_table(*probe), splitters
+    )
+    assert index == expected_index
+    assert list(corrected.items()) == list(expected.items())

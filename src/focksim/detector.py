@@ -92,7 +92,7 @@ def apply_phase_correction(state: FockKet, phi: float, spatial: str) -> FockKet:
     for occ, amp in state.items():
         count = sum(occ[i] for i in indices)
         out[occ] = amp * complex(math.cos(0.5 * phi * count), math.sin(0.5 * phi * count))
-    return FockKet(state.register, out)
+    return FockKet._from_valid(state.register, out)
 
 
 def decide_and_repair(
@@ -157,7 +157,7 @@ def detect(
             raise ValueError("state has no asymmetric component")
         # peak-centre outcome: repair phase vanishes, opposite-phase
         # branches merge with unit relative phase
-        merged = FockKet(tagged.register, kept).normalized()
+        merged = FockKet._from_valid(tagged.register, kept).normalized()
         return DetectorOutcome("asymmetric", merged, 1.0 - p_symmetric)
 
     if rng is None:

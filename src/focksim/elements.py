@@ -7,8 +7,16 @@ applied to a ket by exact multinomial re-expansion, so photon number and
 norm are conserved to machine precision.
 
 The substitution rows (the nonzero entries of each matrix row) are built
-once, when the transform is constructed, so applying it to many small kets
-costs only the expansion itself.
+once, when the transform is constructed, and the multinomial expansion of
+each (input mode, occupancy) pair once, on first use, so applying a
+transform costs only the products and sums of the expansion itself.  The
+rows keep the matrix's numpy scalars: the expansion weights are computed
+from them, and converting them to Python ``complex`` moves output bits.
+
+Photon number is conserved, so the output occupations of a ket whose terms
+each hold at most ``MAX_OCCUPANCY`` photons are valid by construction and
+the result is built without checking them (see :mod:`focksim.fock`); its
+amplitudes are Python ``complex``, as in every ket.
 """
 
 from __future__ import annotations
@@ -18,15 +26,19 @@ from typing import Iterable
 
 import numpy as np
 
-from .fock import _SQRT_FACT, FockKet, ModeRegister
+from .fock import _SQRT_FACT, MAX_OCCUPANCY, FockKet, ModeRegister
 
 UNITARITY_TOLERANCE = 1e-12
+
+# one (assignment, weight) per way to share an input mode's photons over its
+# row's output modes; an assignment lists (output mode, photons) pairs
+_Expansion = list[tuple[tuple[tuple[int, int], ...], complex]]
 
 
 class ModeTransform:
     """Unitary substitution rule on the creation operators of a register."""
 
-    __slots__ = ("_register", "_matrix", "_rows")
+    __slots__ = ("_register", "_matrix", "_rows", "_moved", "_expansions")
 
     def __init__(self, register: ModeRegister, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=complex)
@@ -44,6 +56,10 @@ class ModeTransform:
             tuple((int(j), self._matrix[i, j]) for j in np.flatnonzero(self._matrix[i]))
             for i in range(n)
         )
+        # input modes whose row is not exactly a_i^dag -> a_i^dag
+        self._moved = tuple(i for i, row in enumerate(self._rows) if row != ((i, 1.0),))
+        # (input mode, occupancy) -> its multinomial expansion, filled by apply
+        self._expansions: dict[tuple[int, int], _Expansion] = {}
 
     @property
     def register(self) -> ModeRegister:
@@ -64,33 +80,51 @@ class ModeTransform:
         if ket.register != self._register:
             raise ValueError("ket register does not match transform register")
         out: dict[tuple[int, ...], complex] = {}
-        rows = self._rows
-        zero = (0,) * len(self._register)
+        expansions = self._expansions
+        moved = self._moved
+        checked = False
         for occ, amp in ket.items():
+            # sqrt(0!) = sqrt(1!) = 1.0: dividing or multiplying by it changes at
+            # most the sign of a zero part, which the first sum into ``out``
+            # clears, so only the larger factors are applied
             prefactor = amp
             for m in occ:
-                prefactor /= _SQRT_FACT[m]
-            partial: dict[tuple[int, ...], complex] = {zero: prefactor}
-            for i, m in enumerate(occ):
+                if m > 1:
+                    prefactor /= _SQRT_FACT[m]
+            # photons of modes the transform leaves in place start where they
+            # are; expanding them would multiply by exactly 1 + 0j
+            start = list(occ)
+            for i in moved:
+                start[i] = 0
+            partial: dict[tuple[int, ...], complex] = {tuple(start): prefactor}
+            for i in moved:
+                m = occ[i]
                 if m == 0:
                     continue
-                partial = _distribute_mode(partial, rows[i], m)
+                expansion = expansions.get((i, m))
+                if expansion is None:
+                    expansion = expansions[(i, m)] = _expansion(self._rows[i], m)
+                partial = _distribute_mode(partial, expansion)
             for powers, coeff in partial.items():
-                value = coeff * math.prod(_SQRT_FACT[p] for p in powers)
+                scale = 1.0
+                for p in powers:
+                    if p > 1:
+                        scale *= _SQRT_FACT[p]
+                value = coeff * scale if scale != 1.0 else coeff
                 out[powers] = out.get(powers, 0.0) + value
-        return FockKet(self._register, out)
+            # an output mode can exceed the cap only if the term holds more photons
+            checked = checked or sum(occ) > MAX_OCCUPANCY
+        if checked:
+            return FockKet(self._register, out)
+        return FockKet._from_valid(self._register, out)
 
     def __repr__(self) -> str:
         return f"ModeTransform(on {self._register!r})"
 
 
-def _distribute_mode(
-    partial: dict[tuple[int, ...], complex],
-    row: tuple[tuple[int, complex], ...],
-    m: int,
-) -> dict[tuple[int, ...], complex]:
-    """Multiply by the multinomial expansion of (sum_j r_j a_j^dag)^m."""
-    expansions: list[tuple[tuple[tuple[int, int], ...], complex]] = []
+def _expansion(row: tuple[tuple[int, complex], ...], m: int) -> _Expansion:
+    """Multinomial expansion of (sum_j r_j a_j^dag)^m."""
+    expansions: _Expansion = []
 
     def split(entry: int, remaining: int, used: list[tuple[int, int]], weight: complex) -> None:
         if entry == len(row) - 1:
@@ -104,9 +138,16 @@ def _distribute_mode(
             split(entry + 1, remaining - k, used + [(j, k)] if k else used, w)
 
     split(0, m, [], complex(math.factorial(m)))
+    return expansions
+
+
+def _distribute_mode(
+    partial: dict[tuple[int, ...], complex], expansion: _Expansion
+) -> dict[tuple[int, ...], complex]:
+    """Multiply every term of ``partial`` by one mode's expansion."""
     grown: dict[tuple[int, ...], complex] = {}
     for powers, coeff in partial.items():
-        for assignment, weight in expansions:
+        for assignment, weight in expansion:
             lifted = list(powers)
             for j, k in assignment:
                 lifted[j] += k

@@ -4,6 +4,13 @@ States are stored as associative maps from occupation vectors to complex
 amplitudes over an ordered mode register.  All values are immutable after
 construction; every operation returns a new state, so kets can be shared
 freely across threads.
+
+Occupations are validated once, where they enter from outside: the public
+``FockKet(register, terms)``, :meth:`FockKet.basis`, :func:`read_state_text`
+and :func:`expand_bilinear_power` check every term's length and range.  A
+ket built from the terms of valid kets (every operation here, the elements
+and the readouts) goes through :meth:`FockKet._from_valid`, which skips
+those checks.  Either way every stored amplitude is a Python ``complex``.
 """
 
 from __future__ import annotations
@@ -116,6 +123,22 @@ def _check_occupation(register: ModeRegister, occ: tuple[int, ...]) -> tuple[int
     return occ
 
 
+def _significant(terms: Mapping[tuple[int, ...], complex]) -> dict[tuple[int, ...], complex]:
+    """The terms as Python ``complex``, without those below :data:`PRUNE_THRESHOLD`.
+
+    The conversion matters: amplitudes computed from numpy scalars would
+    otherwise carry numpy arithmetic into the next operation.  A NaN
+    amplitude is kept (it is not below the threshold).
+    """
+    out: dict[tuple[int, ...], complex] = {}
+    for occ, amp in terms.items():
+        amp = complex(amp)
+        if abs(amp) < PRUNE_THRESHOLD:
+            continue
+        out[occ] = amp
+    return out
+
+
 class FockKet:
     """Sparse superposition of occupation-number basis states.
 
@@ -126,16 +149,28 @@ class FockKet:
     __slots__ = ("_register", "_terms")
 
     def __init__(self, register: ModeRegister, terms: Mapping[tuple[int, ...], complex]):
-        pruned: dict[tuple[int, ...], complex] = {}
-        for occ, amp in terms.items():
-            amp = complex(amp)
-            if abs(amp) < PRUNE_THRESHOLD:
-                continue
-            pruned[_check_occupation(register, occ)] = amp
         self._register = register
-        self._terms = pruned
+        self._terms = {
+            _check_occupation(register, occ): amp for occ, amp in _significant(terms).items()
+        }
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _from_valid(
+        cls, register: ModeRegister, terms: Mapping[tuple[int, ...], complex]
+    ) -> "FockKet":
+        """Ket from terms whose occupations are valid by construction.
+
+        Every key must be a tuple of ints of the register's length, each in
+        ``0..MAX_OCCUPANCY``, as the keys of any ket on that register are;
+        nothing is checked.  Amplitudes are converted and pruned as in the
+        public constructor.
+        """
+        ket = cls.__new__(cls)
+        ket._register = register
+        ket._terms = _significant(terms)
+        return ket
 
     @classmethod
     def vacuum(cls, register: ModeRegister) -> "FockKet":
@@ -200,14 +235,14 @@ class FockKet:
         out = dict(self._terms)
         for occ, amp in other._terms.items():
             out[occ] = out.get(occ, 0.0) + amp
-        return FockKet(self._register, out)
+        return FockKet._from_valid(self._register, out)
 
     def __sub__(self, other: "FockKet") -> "FockKet":
         return self + (-1.0) * other
 
     def __mul__(self, scalar: complex) -> "FockKet":
         scalar = complex(scalar)
-        return FockKet(self._register, {o: a * scalar for o, a in self._terms.items()})
+        return FockKet._from_valid(self._register, {o: a * scalar for o, a in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -247,7 +282,7 @@ class FockKet:
             for occ_a, amp_a in self._terms.items()
             for occ_b, amp_b in other._terms.items()
         }
-        return FockKet(register, out)
+        return FockKet._from_valid(register, out)
 
     def apply_creation(self, powers: Iterable[int]) -> "FockKet":
         """Apply a monomial in creation operators, one power per mode.
@@ -265,7 +300,7 @@ class FockKet:
                 if p:
                     factor *= _SQRT_FACT[m + p] / _SQRT_FACT[m]
             out[new_occ] = out.get(new_occ, 0.0) + amp * factor
-        return FockKet(self._register, out)
+        return FockKet._from_valid(self._register, out)
 
     # -- measurement --------------------------------------------------
 
@@ -306,7 +341,8 @@ class FockKet:
         if weight == 0.0:
             return None, 0.0
         scale = 1.0 / math.sqrt(weight)
-        return FockKet(self._register, {o: a * scale for o, a in kept.items()}), probability
+        projected = FockKet._from_valid(self._register, {o: a * scale for o, a in kept.items()})
+        return projected, probability
 
     # -- register reshaping -------------------------------------------
 
@@ -324,14 +360,14 @@ class FockKet:
                 raise ValueError("cannot drop occupied modes from a ket")
             out[tuple(occ[i] for i in keep)] = amp
         register = ModeRegister(self._register.modes[i] for i in keep)
-        return FockKet(register, out)
+        return FockKet._from_valid(register, out)
 
     def extended(self, extra: Iterable[tuple[str, str]]) -> "FockKet":
         """Append vacuum modes to the register."""
         extra = tuple(extra)
         register = self._register.extended(extra)
         pad = (0,) * len(extra)
-        return FockKet(register, {occ + pad: amp for occ, amp in self._terms.items()})
+        return FockKet._from_valid(register, {occ + pad: amp for occ, amp in self._terms.items()})
 
 
 class BilinearForm:

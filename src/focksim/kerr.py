@@ -12,15 +12,20 @@ probe phase ``phi`` by::
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .fock import NORM_TOLERANCE, PRUNE_THRESHOLD, FockKet, ModeRegister
+from .fock import NORM_TOLERANCE, FockKet, ModeRegister, _check_occupation, _significant
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# distance from every peak beyond which conditioning rescales the amplitudes:
+# there every Gaussian weight exp(-offset^2 / 4) is below exp(-20) ~ 2e-9
+_TAIL_OFFSET = math.sqrt(80.0)
 
 
 def peak_center(alpha: float, phase: float) -> float:
@@ -44,6 +49,7 @@ class ProbeTaggedState:
 
     __slots__ = (
         "_register", "_terms", "_alpha", "_theta", "_norm_squared", "_groups", "_conditioning",
+        "_centers",
     )
 
     def __init__(
@@ -57,19 +63,17 @@ class ProbeTaggedState:
             raise ValueError("probe amplitude must be non-negative")
         if theta <= 0:
             raise ValueError("base Kerr phase must be positive")
-        pruned: dict[tuple[tuple[int, ...], int], complex] = {}
-        for (occ, idx), amp in terms.items():
-            amp = complex(amp)
-            if abs(amp) < PRUNE_THRESHOLD:
-                continue
-            pruned[(tuple(occ), int(idx))] = amp
         self._register = register
-        self._terms = pruned
+        self._terms = {
+            (_check_occupation(register, occ), int(idx)): amp
+            for (occ, idx), amp in _significant(terms).items()
+        }
         self._alpha = float(alpha)
         self._theta = float(theta)
         self._norm_squared: float | None = None
         self._groups: tuple[tuple[int, float, float], ...] | None = None
         self._conditioning: tuple[tuple[tuple[int, ...], complex, float, float], ...] | None = None
+        self._centers: tuple[float, ...] | None = None
 
     @property
     def register(self) -> ModeRegister:
@@ -134,18 +138,40 @@ class ProbeTaggedState:
             )
         return self._conditioning
 
+    def _nearest_peak_offset(self, x: float) -> float:
+        """Distance from ``x`` to the nearest homodyne peak (inf without branches)."""
+        if self._centers is None:
+            self._centers = tuple(sorted(center for _, _, center in self.phase_groups()))
+        centers = self._centers
+        i = bisect.bisect(centers, x)
+        near = centers[max(i - 1, 0) : i + 1]
+        return min(abs(x - near[0]), abs(x - near[-1])) if near else math.inf
+
     def branch(self, index: int) -> FockKet | None:
         """Renormalized signal component at one phase index, if present."""
         kept = {occ: amp for (occ, idx), amp in self._terms.items() if idx == index}
         if not kept:
             return None
-        return FockKet(self._register, kept).normalized()
+        return FockKet._from_valid(self._register, kept).normalized()
 
     def __repr__(self) -> str:
         return (
             f"ProbeTaggedState({len(self._terms)} branches, "
             f"alpha={self._alpha}, theta={self._theta})"
         )
+
+
+def _tagged(
+    register: ModeRegister,
+    terms: Mapping[tuple[tuple[int, ...], int], complex],
+    alpha: float,
+    theta: float,
+) -> ProbeTaggedState:
+    """Tagged state whose occupations are valid by construction (taken from a
+    valid ket or tagged state), so they are not checked again."""
+    state = ProbeTaggedState(register, {}, alpha, theta)
+    state._terms = _significant(terms)
+    return state
 
 
 @dataclass(frozen=True)
@@ -165,7 +191,7 @@ class HomodyneOutcome:
 
 def attach_probe(ket: FockKet, alpha: float, theta: float) -> ProbeTaggedState:
     """Pair a signal ket with a fresh coherent probe (all branches at phase 0)."""
-    return ProbeTaggedState(
+    return _tagged(
         ket.register,
         {(occ, 0): amp for occ, amp in ket.items()},
         alpha,
@@ -187,13 +213,13 @@ def apply_cross_kerr(state: ProbeTaggedState, weights: Iterable[int]) -> ProbeTa
         shifted = idx + sum(w * n for w, n in zip(weights, occ))
         key = (occ, shifted)
         out[key] = out.get(key, 0.0) + amp
-    return ProbeTaggedState(state.register, out, state.alpha, state.theta)
+    return _tagged(state.register, out, state.alpha, state.theta)
 
 
 def apply_probe_phase(state: ProbeTaggedState, shift_index: int) -> ProbeTaggedState:
     """Shift every branch's phase index by a fixed amount (a probe phase gate)."""
     shift_index = int(shift_index)
-    return ProbeTaggedState(
+    return _tagged(
         state.register,
         {(occ, idx + shift_index): amp for (occ, idx), amp in state.items()},
         state.alpha,
@@ -219,16 +245,26 @@ def homodyne_condition(state: ProbeTaggedState, x: float) -> FockKet | None:
     Branches at equal occupation merge coherently after picking up their
     Gaussian weight and measurement-dependent phase.  Returns ``None`` when
     the outcome has zero density (empty outcome, not an error).
+
+    More than 8.9 from every peak the Gaussian weights would push terms
+    under ``PRUNE_THRESHOLD`` before normalizing, so there (while the density
+    is above 0) every amplitude is first scaled by one power of two.  That is
+    exact: wherever nothing was pruned the normalized ket keeps its bits.
     """
+    terms = state._conditioning_terms()
+    nearest = state._nearest_peak_offset(x)
+    if nearest > _TAIL_OFFSET and homodyne_pdf(state, x) > 0.0:
+        scale = math.ldexp(1.0, -math.frexp(math.exp(-0.25 * nearest * nearest))[1])
+        terms = [(occ, amp * scale, center, rate) for occ, amp, center, rate in terms]
     out: dict[tuple[int, ...], complex] = {}
-    for occ, amp, center, rate in state._conditioning_terms():
+    for occ, amp, center, rate in terms:
         offset = x - center
         weight = math.exp(-0.25 * offset * offset)
         if weight == 0.0:
             continue
         factor = weight * complex(math.cos(rate * offset), math.sin(rate * offset))
         out[occ] = out.get(occ, 0.0) + amp * factor
-    conditioned = FockKet(state.register, out)
+    conditioned = FockKet._from_valid(state.register, out)
     if conditioned.norm_squared == 0.0:
         return None
     return conditioned.normalized()

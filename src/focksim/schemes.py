@@ -165,7 +165,7 @@ def spin_flip(state: FockKet, spatials) -> FockKet:
             flipped[h], flipped[v] = flipped[v], flipped[h]
         key = tuple(flipped)
         out[key] = out.get(key, 0.0) + amp
-    return FockKet(state.register, out)
+    return FockKet._from_valid(state.register, out)
 
 
 # -- homodyne interval decoding ------------------------------------------
@@ -369,7 +369,7 @@ class GhzReadout:
                 target = relabel[occ]
                 angle = 2.0 * phi * target[h_index]
                 terms[target] = amp * complex(math.cos(angle), -math.sin(angle))
-        return FockKet(scheme_register, terms), interval.index
+        return FockKet._from_valid(scheme_register, terms), interval.index
 
     def condition(self, x: float) -> tuple[FockKet | None, int]:
         """Corrected state and interval index for the quadrature outcome ``x``.

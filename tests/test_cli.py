@@ -301,3 +301,20 @@ def test_homodyne_sweep_output_bytes_are_pinned(out_dir):
     assert csv.read_text().splitlines()[101].split(",")[2] == "1"
     digest = hashlib.sha256(csv.read_bytes() + (out_dir / "homodyne-sweep.csv.meta").read_bytes())
     assert digest.hexdigest() == SWEEP_DIGEST
+
+
+# the same for the preparation pipeline and the detector cascade, recorded
+# before ModeTransform.apply cached its expansions and internal kets stopped
+# re-checking their occupations
+SIMULATION_DIGESTS = {
+    ("psi-theta",): "db724d753d6ede4a9110b55cfa62b5c78b0222da575c8eeaa531505df0bee981",
+    ("cascade", "m0=0.6", "n0=0.3", "k=30"): "843d99e0034e8f73a79cb557ab9febc26e2b0167aeff8c7e184a2f7b4194202a",
+}
+
+
+@pytest.mark.parametrize("args", list(SIMULATION_DIGESTS))
+def test_simulation_output_bytes_are_pinned(out_dir, args):
+    assert run_cli("run", *args) == 0
+    csv = out_dir / f"{args[0]}.csv"
+    digest = hashlib.sha256(csv.read_bytes() + (out_dir / f"{args[0]}.csv.meta").read_bytes())
+    assert digest.hexdigest() == SIMULATION_DIGESTS[args]

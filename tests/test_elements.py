@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focksim import (
+    CapacityError,
     FockKet,
     ModeRegister,
     ModeTransform,
@@ -16,6 +19,7 @@ from focksim import (
     pbs,
     polarization_rotation,
 )
+from focksim.fock import _SQRT_FACT
 from focksim.pdc import psi_n, singlet_form
 
 TWIN = ModeRegister.polarized("a", "b")
@@ -267,3 +271,95 @@ class TestCircuitFiles:
     def test_bad_keyword_rejected(self):
         with pytest.raises(ValueError, match="T="):
             parse_circuit("BSU a c0 c1 R=0.3", self.REGISTER)
+
+
+def expansion_path_apply(transform: ModeTransform, ket: FockKet) -> FockKet:
+    """``ModeTransform.apply`` as first written: every term re-runs the
+    multinomial split of every occupied mode, and every sqrt-factorial
+    factor, 1.0 included, is applied."""
+    matrix = transform.matrix
+    rows = tuple(
+        tuple((int(j), matrix[i, j]) for j in np.flatnonzero(matrix[i]))
+        for i in range(len(matrix))
+    )
+    out = {}
+    zero = (0,) * len(rows)
+    for occ, amp in ket.items():
+        prefactor = amp
+        for m in occ:
+            prefactor /= _SQRT_FACT[m]
+        partial = {zero: prefactor}
+        for i, m in enumerate(occ):
+            if m == 0:
+                continue
+            row = rows[i]
+            expansions = []
+
+            def split(entry, remaining, used, weight):
+                j, r = row[entry]
+                if entry == len(row) - 1:
+                    w = weight * r**remaining / math.factorial(remaining)
+                    expansions.append((tuple(used + [(j, remaining)]) if remaining else tuple(used), w))
+                    return
+                for k in range(remaining + 1):
+                    w = weight * r**k / math.factorial(k)
+                    split(entry + 1, remaining - k, used + [(j, k)] if k else used, w)
+
+            split(0, m, [], complex(math.factorial(m)))
+            grown = {}
+            for powers, coeff in partial.items():
+                for assignment, weight in expansions:
+                    lifted = list(powers)
+                    for j, k in assignment:
+                        lifted[j] += k
+                    key = tuple(lifted)
+                    grown[key] = grown.get(key, 0.0) + coeff * weight
+            partial = grown
+        for powers, coeff in partial.items():
+            value = coeff * math.prod(_SQRT_FACT[p] for p in powers)
+            out[powers] = out.get(powers, 0.0) + value
+    return FockKet(ket.register, out)
+
+
+TRIPLE = ModeRegister.polarized("a", "r", "t")
+
+
+@st.composite
+def small_kets(draw):
+    # up to four terms of up to six photons, each photon in a drawn mode
+    terms = {}
+    for photons in draw(st.lists(st.lists(st.integers(0, 5), max_size=6), min_size=1, max_size=4)):
+        occ = [0] * len(TRIPLE)
+        for mode in photons:
+            occ[mode] += 1
+        part = st.floats(-1.0, 1.0)
+        terms[tuple(occ)] = complex(draw(part), draw(part))
+    return FockKet(TRIPLE, terms)
+
+
+transforms = st.one_of(
+    st.builds(
+        lambda t: bs_unbalanced(TRIPLE, "a", "r", "t", t), st.floats(0.01, 0.99)
+    ),
+    st.builds(
+        lambda spatial, theta: polarization_rotation(TRIPLE, spatial, theta),
+        st.sampled_from(("a", "r", "t")),
+        st.floats(-math.pi, math.pi),
+    ),
+)
+
+
+@settings(deadline=None)
+@given(transform=transforms, ket=small_kets())
+def test_apply_matches_expansion_path(transform, ket):
+    # same keys in the same order and equal amplitudes; the transform is
+    # applied twice so the second call reads the expansions the first built
+    expected = list(expansion_path_apply(transform, ket).items())
+    assert list(transform.apply(ket).items()) == expected
+    assert list(transform.apply(ket).items()) == expected
+
+
+def test_output_past_the_occupancy_cap_raises():
+    # 16 photons in (a, b): the splitter can put all of them in one mode
+    with pytest.raises(CapacityError):
+        bs_5050(TWIN, "a", "b").apply(FockKet.basis(TWIN, (8, 0, 8, 0)))

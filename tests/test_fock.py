@@ -9,7 +9,10 @@ from focksim import (
     CapacityError,
     FockKet,
     ModeRegister,
+    attach_probe,
+    bs_5050,
     expand_bilinear_power,
+    homodyne_condition,
     read_state_text,
     write_state_text,
 )
@@ -265,6 +268,38 @@ class TestPruningAndNorm:
     def test_photon_expectation(self):
         ket = FockKet(TWO, {(2, 0): 1.0, (0, 1): 1.0}).normalized()
         assert ket.photon_expectation() == pytest.approx(1.5)
+
+
+class TestValidationAtPublicConstructors:
+    @pytest.mark.parametrize(
+        "occ, error",
+        [((1, 0, 0), ValueError), ((1, -1, 0, 0), ValueError), ((16, 0, 0, 0), CapacityError)],
+        ids=["wrong-length", "negative", "over-cap"],
+    )
+    def test_public_constructor_checks_every_occupation(self, occ, error):
+        with pytest.raises(error):
+            FockKet(TWIN, {(0, 0, 0, 0): 1.0, occ: 0.5})
+
+    def test_creation_past_the_cap_raises(self):
+        with pytest.raises(CapacityError):
+            FockKet(TWO, {(0, 1): 1.0, (15, 0): 1.0}).apply_creation((1, 0))
+
+    def test_internal_kets_store_python_complex(self):
+        # numpy amplitudes in, and every operation's result holds complex
+        ket = FockKet(TWIN, {(1, 0, 2, 0): np.float64(0.6), (0, 1, 0, 2): np.complex128(0.8j)})
+        mixed = bs_5050(TWIN, "a", "b").apply(ket)
+        projected, _ = mixed.project({"a": 1})
+        only_a, _ = mixed.project({"b": 0})
+        results = [
+            ket,
+            mixed,
+            projected,
+            projected.normalized(),
+            only_a.restricted(["a"]),
+            homodyne_condition(attach_probe(mixed, 3.0, 0.4), 5.0),
+        ]
+        for result in results:
+            assert all(type(amp) is complex for _, amp in result.items())
 
 
 class TestStateText:

@@ -20,6 +20,7 @@ from focksim import (
     sample_homodyne,
     twin_beam_state,
 )
+from focksim.kerr import ProbeTaggedState, peak_center
 
 TWIN = ModeRegister.polarized("a", "b")
 TWO = ModeRegister([("a", "H"), ("b", "H")])
@@ -51,6 +52,11 @@ class TestAttachProbe:
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             attach_probe(FockKet.vacuum(TWO), -1.0, 0.5)
+
+
+    def test_tagged_state_checks_occupations(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ProbeTaggedState(TWO, {((1, -1), 0): 1.0}, 2.0, 0.5)
 
 
 class TestCrossKerr:
@@ -191,6 +197,41 @@ class TestHomodyneConditioning:
     def test_zero_density_outcome_is_empty(self):
         tagged = tagged_detector_state(0.5, 0.5)
         assert homodyne_condition(tagged, 2000.0 + 200.0) is None
+
+    def test_far_tail_outcome_conditions_to_the_nearest_branch(self):
+        # 11.8 beyond the top peak the density is 2e-31 and every Gaussian
+        # weight is below 1e-15, under PRUNE_THRESHOLD before normalizing
+        tagged = tagged_detector_state(0.6, math.sqrt(0.5 - 0.36))
+        x = 2000.0 + 11.8
+        assert 1e-31 < homodyne_pdf(tagged, x) < 1e-30
+        conditioned = homodyne_condition(tagged, x)
+        assert conditioned is not None and conditioned.is_normalized
+        assert conditioned.fidelity(tagged.branch(0)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_outcome_where_only_the_density_underflows_is_empty(self):
+        # exp(-45^2 / 4) is a normal double, exp(-45^2 / 2) is not
+        tagged = tagged_detector_state(0.5, 0.5)
+        assert homodyne_pdf(tagged, 2000.0 + 45.0) == 0.0
+        assert homodyne_condition(tagged, 2000.0 + 45.0) is None
+
+    @pytest.mark.parametrize("side, offset", [(1, 9.0), (1, 9.5), (1, 10.0), (-1, 9.5), (-1, 10.0)])
+    def test_tail_rescaling_keeps_the_bits_where_nothing_was_pruned(self, side, offset):
+        # just past 8.9 from every peak the amplitudes are rescaled, but every
+        # term here is far above or far below PRUNE_THRESHOLD either way
+        tagged = tagged_detector_state(0.6, math.sqrt(0.5 - 0.36))
+        centers = [center for _, _, center in tagged.phase_groups()]
+        x = max(centers) + offset if side > 0 else min(centers) - offset
+        unscaled = {}
+        for (occ, idx), amp in tagged.items():
+            phase = tagged.phase_of(idx)
+            shift = x - peak_center(tagged.alpha, phase)
+            rate = tagged.alpha * math.sin(phase)
+            factor = math.exp(-0.25 * shift * shift) * complex(
+                math.cos(rate * shift), math.sin(rate * shift)
+            )
+            unscaled[occ] = unscaled.get(occ, 0.0) + amp * factor
+        expected = FockKet(TWIN, unscaled).normalized()
+        assert list(homodyne_condition(tagged, x).items()) == list(expected.items())
 
     def test_relative_phase_vanishes_at_peak_center(self):
         # conditioned amplitudes at a branch's own peak are real multiples

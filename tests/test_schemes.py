@@ -232,6 +232,14 @@ class TestGhzCircuit:
             assert index == interval.index
             assert corrected.fidelity(target) > 1.0 - 1e-9
 
+    def test_far_tail_outcome_is_decoded(self):
+        # 12 beyond the top peak: density 1.2e-33, above MIN_DECODABLE_DENSITY
+        readout = GhzReadout(build_psi_theta(HALF_PI).state, ALPHA, THETA)
+        corrected, index = readout.condition(2.0 * ALPHA + 12.0)
+        assert index == 9
+        assert corrected is not None and corrected.is_normalized
+        assert corrected.fidelity(ghz_state()) > 1.0 - 1e-9
+
     def test_unsupported_outcome_is_empty(self):
         state = build_psi_theta(HALF_PI).state
         corrected, index = ghz_circuit(state, ALPHA, THETA, x=2.0 * ALPHA + 400.0)

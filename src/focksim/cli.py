@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Callable
 
@@ -540,8 +541,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads its arguments with, built on first use."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

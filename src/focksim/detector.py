@@ -8,6 +8,10 @@ end at probe phase 0 ("symmetric"); the rest end at plus/minus one full
 Kerr phase ("asymmetric") and are repaired with a measurement-dependent
 phase shift on arm ``b``.
 
+The splitter is built once per register and shared by every detection,
+so its multinomial expansions are computed once per process: a cascade,
+a sweep and a sampled run all reuse the same table.
+
 Cascading the detector drives the two-parameter coefficient family through
 the integer iteration matrix [[1, 3], [3, 1]], whose closed-form powers are
 also provided here.
@@ -17,10 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .elements import bs_5050
+from .elements import ModeTransform, bs_5050
 from .fock import CapacityError, FockKet, ModeRegister
 from .kerr import (
     apply_cross_kerr,
@@ -111,9 +116,15 @@ def decide_and_repair(
     return "asymmetric", apply_phase_correction(conditional, phi, "b")
 
 
+@cache
+def _splitter(register: ModeRegister) -> ModeTransform:
+    """The detector's balanced splitter across arms ``a`` and ``b``, built once per register."""
+    return bs_5050(register, "a", "b")
+
+
 def detector_probe_state(state: FockKet, alpha: float, theta: float):
     """Probe-tagged state after the splitter, Kerr wiring, and phase gate."""
-    mixed = bs_5050(state.register, "a", "b").apply(state)
+    mixed = _splitter(state.register).apply(state)
     tagged = attach_probe(mixed, alpha, theta)
     tagged = apply_cross_kerr(tagged, KERR_WEIGHTS)
     return apply_probe_phase(tagged, PROBE_GATE)

@@ -13,6 +13,11 @@ transform costs only the products and sums of the expansion itself.  The
 rows keep the matrix's numpy scalars: the expansion weights are computed
 from them, and converting them to Python ``complex`` moves output bits.
 
+A transform may be shared for the life of a process (the symmetry
+detector keeps one splitter per register).  Filling its expansion table
+is idempotent: each key always receives the same value, whichever ket
+first needs it, so a shared transform gives the same bits as a fresh one.
+
 Photon number is conserved, so the output occupations of a ket whose terms
 each hold at most ``MAX_OCCUPANCY`` photons are valid by construction and
 the result is built without checking them (see :mod:`focksim.fock`); its
@@ -22,6 +27,7 @@ amplitudes are Python ``complex``, as in every ket.
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import Iterable
 
 import numpy as np
@@ -84,6 +90,14 @@ class ModeTransform:
         moved = self._moved
         checked = False
         for occ, amp in ket.items():
+            # an output mode can exceed the cap only if the term holds more
+            # photons; such a term reads its output factors from a longer table
+            total = sum(occ)
+            if total > MAX_OCCUPANCY:
+                checked = True
+                sqrt_fact = _sqrt_factorials(total)
+            else:
+                sqrt_fact = _SQRT_FACT
             # sqrt(0!) = sqrt(1!) = 1.0: dividing or multiplying by it changes at
             # most the sign of a zero part, which the first sum into ``out``
             # clears, so only the larger factors are applied
@@ -109,17 +123,21 @@ class ModeTransform:
                 scale = 1.0
                 for p in powers:
                     if p > 1:
-                        scale *= _SQRT_FACT[p]
+                        scale *= sqrt_fact[p]
                 value = coeff * scale if scale != 1.0 else coeff
                 out[powers] = out.get(powers, 0.0) + value
-            # an output mode can exceed the cap only if the term holds more photons
-            checked = checked or sum(occ) > MAX_OCCUPANCY
         if checked:
             return FockKet(self._register, out)
         return FockKet._from_valid(self._register, out)
 
     def __repr__(self) -> str:
         return f"ModeTransform(on {self._register!r})"
+
+
+@cache
+def _sqrt_factorials(m: int) -> tuple[float, ...]:
+    """sqrt(k!) for k = 0..m, computed as :data:`focksim.fock._SQRT_FACT` is."""
+    return tuple(math.sqrt(math.factorial(k)) for k in range(m + 1))
 
 
 def _expansion(row: tuple[tuple[int, complex], ...], m: int) -> _Expansion:

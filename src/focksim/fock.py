@@ -16,6 +16,7 @@ those checks.  Either way every stored amplitude is a Python ``complex``.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 MAX_OCCUPANCY = 15
@@ -315,24 +316,33 @@ class FockKet:
         Born probability of the pattern; a zero-probability pattern yields
         ``(None, 0.0)`` rather than an error.
         """
-        mode_constraints: list[tuple[int, int]] = []
-        group_constraints: list[tuple[tuple[int, ...], int]] = []
+        # exact counts: one getter over the constrained modes, compared with
+        # the wanted counts; a spatial mode with a single polarization is one
+        modes: list[int] = []
+        counts: list[int] = []
+        groups: list[tuple[itemgetter, int]] = []
         for key, count in pattern.items():
             if key in self._register._index:
-                mode_constraints.append((self._register.index(key), int(count)))
+                indices: tuple[int, ...] = (self._register.index(key),)
             else:
-                group_constraints.append((self._register.spatial_indices(key), int(count)))
+                indices = self._register.spatial_indices(key)
+            if len(indices) == 1:
+                modes += indices
+                counts.append(int(count))
+            else:
+                groups.append((itemgetter(*indices), int(count)))
+        modes_of = itemgetter(*modes) if modes else None
+        wanted = counts[0] if len(modes) == 1 else tuple(counts)
 
-        def matches(occ: tuple[int, ...]) -> bool:
-            for i, c in mode_constraints:
-                if occ[i] != c:
-                    return False
-            for idxs, c in group_constraints:
-                if sum(occ[i] for i in idxs) != c:
-                    return False
-            return True
-
-        kept = {occ: amp for occ, amp in self._terms.items() if matches(occ)}
+        kept = {}
+        for occ, amp in self._terms.items():
+            if modes_of is not None and modes_of(occ) != wanted:
+                continue
+            for total_of, count in groups:
+                if sum(total_of(occ)) != count:
+                    break
+            else:
+                kept[occ] = amp
         total = self.norm_squared
         if total == 0.0:
             return None, 0.0

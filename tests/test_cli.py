@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from focksim import cli
 from focksim.cli import main
 
 START_PAIR = ["m0=0", "n0=0.70710678"]
@@ -318,3 +319,41 @@ def test_simulation_output_bytes_are_pinned(out_dir, args):
     csv = out_dir / f"{args[0]}.csv"
     digest = hashlib.sha256(csv.read_bytes() + (out_dir / f"{args[0]}.csv.meta").read_bytes())
     assert digest.hexdigest() == SIMULATION_DIGESTS[args]
+
+
+def outcome(args: tuple, out_dir, capsys) -> tuple:
+    """Exit code, printed bytes and output-file bytes of one in-process call.
+
+    The output files are removed once read, so the next call starts clean.
+    """
+    try:
+        code = main(list(args))
+    except SystemExit as exc:  # argparse rejects the command line itself
+        code = exc.code
+    captured = capsys.readouterr()
+    files = {}
+    for path in sorted(out_dir.iterdir()):
+        files[path.name] = path.read_bytes()
+        path.unlink()
+    return code, captured.out, captured.err, files
+
+
+def test_main_calls_in_one_process_match_lone_calls(out_dir, tmp_path_factory, capsys):
+    # main reuses one parser across calls; a sequence must not differ from
+    # each call made with a parser of its own
+    config = tmp_path_factory.mktemp("config") / "job.cfg"
+    config.write_text("experiment = cascade\nm0 = 0.6\nn0 = 0.3\nk = 3\n")
+    sequence = [
+        ("run", "cascade", "m0=0.6", "n0=0.3", "k=0"),
+        ("frobnicate",),
+        ("run", "cascade", "m0=0.6", "n0=0.3", "k=3"),
+        ("validate", str(config)),
+        ("list",),
+    ]
+    alone = []
+    for args in sequence:
+        cli._parser.cache_clear()
+        alone.append(outcome(args, out_dir, capsys))
+    in_sequence = [outcome(args, out_dir, capsys) for args in sequence]
+    assert [code for code, *_ in in_sequence] == [2, 2, 0, 0, 0]
+    assert in_sequence == alone

@@ -3,13 +3,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focksim import (
     CapacityError,
     CoefficientPair,
     FockKet,
+    ModeTransform,
     a_matrix_power,
+    apply_cross_kerr,
     apply_phase_correction,
+    apply_probe_phase,
+    attach_probe,
+    bs_5050,
     cascade_closed_form,
     cascade_simulate,
     decide_and_repair,
@@ -22,6 +29,8 @@ from focksim import (
     twin_beam_register,
     twin_beam_state,
 )
+from focksim import detector
+from focksim.detector import KERR_WEIGHTS, PROBE_GATE
 
 ALPHA, THETA = 1000.0, 0.1
 
@@ -306,3 +315,50 @@ class TestCascadeSimulate:
     def test_depth_capacity(self):
         with pytest.raises(CapacityError):
             cascade_simulate(CoefficientPair(0.5, 0.5), 31, ALPHA, THETA)
+
+
+def fresh_splitter_cascade(pair: CoefficientPair, k: int, alpha: float, theta: float):
+    """``cascade_simulate`` written out, with a new splitter built at every step."""
+    state = twin_beam_state(pair.normalized())
+    probabilities = []
+    cumulative = 1.0
+    for _ in range(k):
+        mixed = bs_5050(state.register, "a", "b").apply(state.normalized())
+        tagged = attach_probe(mixed, alpha, theta)
+        tagged = apply_probe_phase(apply_cross_kerr(tagged, KERR_WEIGHTS), PROBE_GATE)
+        probability = tagged.group_weights().get(0, 0.0)
+        state = tagged.branch(0)
+        probabilities.append(probability)
+        cumulative *= probability
+    return state, tuple(probabilities), cumulative
+
+
+# 0 and pi/2 start with one family of terms absent, so the shared splitter
+# meets occupancies in another order than a fresh one
+angles = st.floats(0.0, 2.0 * math.pi) | st.sampled_from([0.0, math.pi / 2.0])
+
+
+@settings(deadline=None, max_examples=40)
+@given(angle=angles, k=st.integers(0, 30))
+def test_cascade_matches_fresh_splitter_loop(angle, k):
+    pair = CoefficientPair(math.cos(angle), math.sin(angle))
+    state, probabilities, cumulative = fresh_splitter_cascade(pair, k, ALPHA, THETA)
+    run = cascade_simulate(pair, k, ALPHA, THETA)
+    assert list(run.state.items()) == list(state.items())
+    assert run.step_probabilities == probabilities
+    assert run.cumulative_probability == cumulative
+
+
+def test_two_cascades_build_the_splitter_once(monkeypatch):
+    detector._splitter.cache_clear()
+    built = []
+    init = ModeTransform.__init__
+
+    def counting_init(self, register, matrix):
+        built.append(register)
+        init(self, register, matrix)
+
+    monkeypatch.setattr(ModeTransform, "__init__", counting_init)
+    cascade_simulate(CoefficientPair(0.6, 0.3), 30, ALPHA, THETA)
+    cascade_simulate(CoefficientPair(0.0, 1.0 / math.sqrt(2.0)), 5, ALPHA, THETA)
+    assert built == [twin_beam_register]

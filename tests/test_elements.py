@@ -363,3 +363,9 @@ def test_output_past_the_occupancy_cap_raises():
     # 16 photons in (a, b): the splitter can put all of them in one mode
     with pytest.raises(CapacityError):
         bs_5050(TWIN, "a", "b").apply(FockKet.basis(TWIN, (8, 0, 8, 0)))
+
+
+def test_output_past_the_sqrt_factorial_table_raises():
+    # 18 photons in (a, b): an output mode can receive more than the cap plus one
+    with pytest.raises(CapacityError):
+        bs_5050(TWIN, "a", "b").apply(FockKet.basis(TWIN, (9, 0, 9, 0)))

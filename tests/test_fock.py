@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focksim import (
     BilinearForm,
@@ -219,6 +221,86 @@ class TestProjection:
         projected, probability = ket.project({"aH": 1, "bH": 1})
         assert projected is None
         assert probability == 0.0
+
+
+# "b" has only an H mode, so a spatial key can name a single mode
+MIXED = ModeRegister([("a", "H"), ("a", "V"), ("b", "H"), ("c", "H"), ("c", "V")])
+
+
+def closure_project(ket: FockKet, pattern: dict) -> tuple:
+    """``FockKet.project`` as first written: a per-term closure over the constraints."""
+    register = ket.register
+    mode_constraints = []
+    group_constraints = []
+    for key, count in pattern.items():
+        if key in register.labels:
+            mode_constraints.append((register.index(key), int(count)))
+        else:
+            group_constraints.append((register.spatial_indices(key), int(count)))
+
+    def matches(occ):
+        for i, c in mode_constraints:
+            if occ[i] != c:
+                return False
+        for idxs, c in group_constraints:
+            if sum(occ[i] for i in idxs) != c:
+                return False
+        return True
+
+    kept = {occ: amp for occ, amp in ket.items() if matches(occ)}
+    total = ket.norm_squared
+    if total == 0.0:
+        return None, 0.0
+    weight = sum(abs(a) ** 2 for a in kept.values())
+    probability = weight / total
+    if weight == 0.0:
+        return None, 0.0
+    scale = 1.0 / math.sqrt(weight)
+    return FockKet(register, {o: a * scale for o, a in kept.items()}), probability
+
+
+mixed_kets = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * len(MIXED)),
+    st.complex_numbers(min_magnitude=1e-3, max_magnitude=2.0, allow_infinity=False),
+    min_size=4,
+    max_size=40,
+).map(lambda terms: FockKet(MIXED, terms))
+
+
+@st.composite
+def kets_and_patterns(draw):
+    """A ket and a pattern read off one of its terms, maybe with one count redrawn.
+
+    Each spatial mode is left free, constrained in total, or constrained
+    mode by mode.
+    """
+    ket = draw(mixed_kets)
+    occ = draw(st.sampled_from([occ for occ, _ in ket.items()]))
+    pattern = {}
+    for spatial in draw(st.permutations(MIXED.spatials)):
+        indices = MIXED.spatial_indices(spatial)
+        form = draw(st.sampled_from(["free", "total", "modes"]))
+        if form == "total":
+            pattern[spatial] = sum(occ[i] for i in indices)
+        elif form == "modes":
+            pattern.update((MIXED.labels[i], occ[i]) for i in indices)
+    if pattern and draw(st.booleans()):
+        pattern[draw(st.sampled_from(sorted(pattern)))] = draw(st.integers(0, 4))
+    return ket, pattern
+
+
+@settings(deadline=None)
+@given(ket_and_pattern=kets_and_patterns())
+def test_project_matches_closure_project(ket_and_pattern):
+    # same kept terms in the same order, equal amplitudes, equal probability
+    ket, pattern = ket_and_pattern
+    expected, expected_probability = closure_project(ket, pattern)
+    projected, probability = ket.project(pattern)
+    assert probability == expected_probability
+    if expected is None:
+        assert projected is None
+    else:
+        assert list(projected.items()) == list(expected.items())
 
 
 class TestTensorAndReshape:

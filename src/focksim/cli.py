@@ -16,7 +16,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from pathlib import Path
 from typing import Callable
@@ -47,7 +47,10 @@ from .schemes import (
 
 
 class ConfigError(Exception):
-    """Invalid configuration; maps to exit code 2."""
+    """Invalid configuration; maps to exit code 2.  Holds one message per broken rule."""
+
+    def __str__(self) -> str:
+        return "; ".join(self.args)
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,18 @@ class Param:
     required: bool = False
     default: object = None
     doc: str = ""
+    min: float | None = None  # the value must be >= min
+    above: float | None = None  # the value must be > above
+
+    def bound_error(self, value) -> str | None:
+        """Why ``value`` breaks the declared range, or ``None``."""
+        if self.min is not None and value < self.min:
+            broken = "be non-negative" if self.min == 0 else f"be at least {self.min}"
+        elif self.above is not None and value <= self.above:
+            broken = "be positive" if self.above == 0 else f"exceed {self.above}"
+        else:
+            return None
+        return f"parameter {self.name!r} must {broken}"
 
 
 @dataclass(frozen=True)
@@ -119,6 +134,7 @@ def resolve_config(source: str, overrides: list[str]) -> dict[str, str]:
 
 
 def typed_params(experiment: Experiment, values: dict[str, str]) -> dict:
+    """Typed parameters with defaults filled in; raises naming every broken declared bound."""
     known = {p.name: p for p in experiment.params}
     typed: dict = {}
     for key, raw in values.items():
@@ -129,49 +145,24 @@ def typed_params(experiment: Experiment, values: dict[str, str]) -> dict:
                 f"unknown parameter {key!r} for experiment {experiment.name!r}"
             )
         typed[key] = _parse_value(known[key], raw)
+    errors = []
     for param in experiment.params:
-        if param.name in typed:
-            continue
-        if param.required:
-            raise ConfigError(f"missing required parameter {param.name!r}")
-        if param.default is not None:
-            typed[param.name] = param.default
+        if param.name not in typed:
+            if param.required:
+                raise ConfigError(f"missing required parameter {param.name!r}")
+            if param.default is not None:
+                typed[param.name] = param.default
+        elif (message := param.bound_error(typed[param.name])) is not None:
+            errors.append(message)
+    if errors:
+        raise ConfigError(*errors)
     return typed
 
 
-def _check_seed(typed: dict) -> list[str]:
-    seed = typed.get("seed")
-    if seed is not None and not 0 <= seed < 2**64:
-        return ["parameter 'seed' must be an unsigned 64-bit integer"]
-    return []
-
-
-def _check_grid(typed: dict) -> list[str]:
-    if typed["grid"] < 2:
-        return ["parameter 'grid' must be at least 2"]
-    return []
-
-
 def _check_detector(typed: dict) -> list[str]:
-    errors = []
     if typed["m0"] == 0.0 and typed["n0"] == 0.0:
-        errors.append("parameters 'm0' and 'n0' must not both be zero")
-    if typed["alpha"] < 0:
-        errors.append("parameter 'alpha' must be non-negative")
-    if typed["theta"] <= 0:
-        errors.append("parameter 'theta' must be positive")
-    return errors
-
-
-def _check_cascade(typed: dict) -> list[str]:
-    errors = _check_detector(typed)
-    if typed["k"] < 1:
-        errors.append("parameter 'k' must be at least 1")
-    return errors
-
-
-def _check_sweep(typed: dict) -> list[str]:
-    return _check_detector(typed) + _check_grid(typed)
+        return ["parameters 'm0' and 'n0' must not both be zero"]
+    return []
 
 
 # -- experiment runners ---------------------------------------------------
@@ -235,16 +226,13 @@ def run_psi_theta(typed: dict) -> list[tuple]:
 
 
 def _check_ghz(typed: dict) -> list[str]:
-    errors = _check_seed(typed)
-    if typed["samples"] < 0:
-        errors.append("parameter 'samples' must be non-negative")
-    if typed["alpha"] <= 0:
-        errors.append("parameter 'alpha' must be positive")
-    else:
-        try:
-            decode_table(typed["alpha"], typed["theta"])
-        except ValueError as exc:
-            errors.append(f"parameter 'theta' rejected: {exc}")
+    errors = []
+    try:
+        decode_table(typed["alpha"], typed["theta"])
+    except ValueError as exc:
+        errors.append(f"parameter 'theta' rejected: {exc}")
+    if typed.get("seed", 0) >= 2**64:
+        errors.append("parameter 'seed' must be an unsigned 64-bit integer")
     if typed["samples"] > 0 and typed.get("seed") is None:
         errors.append("parameter 'seed' is required when samples > 0")
     return errors
@@ -278,16 +266,8 @@ def run_ghz_circuit(typed: dict) -> list[tuple]:
 
 
 def _check_pdc(typed: dict) -> list[str]:
-    has_tau = "tau" in typed
-    has_k = "k" in typed
-    if has_tau == has_k:
+    if ("tau" in typed) == ("k" in typed):
         return ["exactly one of 'tau' (squeezed expansion) or 'k' (mixture) is required"]
-    if has_tau and typed["tau"] < 0:
-        return ["parameter 'tau' must be non-negative"]
-    if has_tau and typed["n_max"] < 0:
-        return ["parameter 'n_max' must be non-negative"]
-    if has_k and typed["k"] < 1:
-        return ["parameter 'k' must be at least 1"]
     return []
 
 
@@ -327,8 +307,8 @@ _PAIR_PARAMS = (
     Param("n0", "float", required=True, doc="second twin-beam coefficient"),
 )
 _PROBE_PARAMS = (
-    Param("alpha", "float", default=1000.0, doc="coherent probe amplitude"),
-    Param("theta", "float", default=0.1, doc="base Kerr phase in radians"),
+    Param("alpha", "float", default=1000.0, doc="coherent probe amplitude", min=0),
+    Param("theta", "float", default=0.1, doc="base Kerr phase in radians", above=0),
 )
 _OUTPUT_PARAM = Param("output", "str", doc="output CSV path (default <experiment>.csv)")
 
@@ -340,11 +320,11 @@ EXPERIMENTS: dict[str, Experiment] = {
             description="iterated symmetry detection, closed form vs simulation",
             columns="k,m_k,n_k,ratio,C_k,step_success_prob,cumulative_prob,fidelity_psi3",
             params=_PAIR_PARAMS
-            + (Param("k", "int", required=True, doc="number of detector passes (max 30)"),)
+            + (Param("k", "int", required=True, doc="number of detector passes (max 30)", min=1),)
             + _PROBE_PARAMS
             + (_OUTPUT_PARAM,),
             runner=run_cascade,
-            checker=_check_cascade,
+            checker=_check_detector,
         ),
         Experiment(
             name="symmetry-detect",
@@ -359,20 +339,20 @@ EXPERIMENTS: dict[str, Experiment] = {
             description="six-mode preparation pipeline over a rotation-angle grid",
             columns="theta,postselect_prob,ghz_weight,w_pair_weight,fidelity_vs_reference",
             params=(
-                Param("grid", "int", default=20, doc="number of theta points on [0, pi/2]"),
+                Param("grid", "int", default=20, doc="number of theta points on [0, pi/2]", min=2),
                 _OUTPUT_PARAM,
             ),
             runner=run_psi_theta,
-            checker=_check_grid,
         ),
         Experiment(
             name="ghz-circuit",
             description="homodyne interval decoding of the uniform-polarization pair",
             columns="interval,k,x_lo,x_hi,probability,fidelity_after_correction",
-            params=_PROBE_PARAMS
-            + (
-                Param("samples", "int", default=0, doc="sampled draws (0 = exact analysis)"),
-                Param("seed", "int", doc="generator seed, required when samples > 0"),
+            params=(
+                replace(_PROBE_PARAMS[0], min=None, above=0),
+                _PROBE_PARAMS[1],
+                Param("samples", "int", default=0, doc="sampled draws (0 = exact analysis)", min=0),
+                Param("seed", "int", doc="generator seed, required when samples > 0", min=0),
                 _OUTPUT_PARAM,
             ),
             runner=run_ghz_circuit,
@@ -383,9 +363,9 @@ EXPERIMENTS: dict[str, Experiment] = {
             description="pair-order expansion (tau) or six-photon mixture (k)",
             columns="n,amplitude,probability | k,a3,a21,a111",
             params=(
-                Param("tau", "float", doc="squeezing interaction parameter"),
-                Param("n_max", "int", default=80, doc="truncation order of the expansion"),
-                Param("k", "float", doc="pulse-duration ratio for the mixture"),
+                Param("tau", "float", doc="squeezing interaction parameter", min=0),
+                Param("n_max", "int", default=80, doc="truncation order of the expansion", min=0),
+                Param("k", "float", doc="pulse-duration ratio for the mixture", min=1),
                 _OUTPUT_PARAM,
             ),
             runner=run_pdc_weights,
@@ -398,11 +378,11 @@ EXPERIMENTS: dict[str, Experiment] = {
             params=_PAIR_PARAMS
             + _PROBE_PARAMS
             + (
-                Param("grid", "int", default=200, doc="number of quadrature points"),
+                Param("grid", "int", default=200, doc="number of quadrature points", min=2),
                 _OUTPUT_PARAM,
             ),
             runner=run_homodyne_sweep,
-            checker=_check_sweep,
+            checker=_check_detector,
         ),
     )
 }
@@ -463,28 +443,22 @@ def _write_outputs(experiment: Experiment, typed: dict, rows: list[tuple]) -> Pa
     return path
 
 
-def _collect_errors(values: dict[str, str]) -> list[str]:
-    try:
-        experiment = _experiment_for(values)
-    except ConfigError as exc:
-        return [str(exc)]
-    try:
-        typed = typed_params(experiment, values)
-    except ConfigError as exc:
-        return [str(exc)]
-    if experiment.checker is not None:
-        return experiment.checker(typed)
-    return []
+def _checked(values: dict[str, str]) -> tuple[Experiment, dict]:
+    """The experiment and typed parameters of a config.
+
+    Raises :class:`ConfigError`: :func:`typed_params` names every broken
+    declared bound, and only when all hold are the cross-parameter rules checked.
+    """
+    experiment = _experiment_for(values)
+    typed = typed_params(experiment, values)
+    errors = experiment.checker(typed) if experiment.checker is not None else []
+    if errors:
+        raise ConfigError(*errors)
+    return experiment, typed
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    values = resolve_config(args.config, args.overrides)
-    experiment = _experiment_for(values)
-    typed = typed_params(experiment, values)
-    if experiment.checker is not None:
-        errors = experiment.checker(typed)
-        if errors:
-            raise ConfigError("; ".join(errors))
+    experiment, typed = _checked(resolve_config(args.config, args.overrides))
     rows = experiment.runner(typed)
     path = _write_outputs(experiment, typed, rows)
     print(f"wrote {path} ({len(rows)} rows)")
@@ -493,17 +467,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     path = Path(args.config)
-    if not path.is_file():
-        print(f"error: config file {args.config!r} not found")
-        return 2
     try:
-        values = parse_config_text(path.read_text())
+        if not path.is_file():
+            raise ConfigError(f"config file {args.config!r} not found")
+        _checked(parse_config_text(path.read_text()))
     except ConfigError as exc:
-        print(f"error: {exc}")
-        return 2
-    errors = _collect_errors(values)
-    if errors:
-        for message in errors:
+        for message in exc.args:
             print(f"error: {message}")
         return 2
     print("ok")
@@ -516,10 +485,14 @@ def cmd_list(_: argparse.Namespace) -> int:
         print(f"{name}: {experiment.description}")
         print(f"  columns: {experiment.columns}")
         for param in experiment.params:
-            tag = "required" if param.required else (
+            tags = [param.kind, "required" if param.required else (
                 f"default {param.default}" if param.default is not None else "optional"
-            )
-            print(f"  {param.name} ({param.kind}, {tag}): {param.doc}")
+            )]
+            if param.min is not None:
+                tags.append(f">= {param.min}")
+            if param.above is not None:
+                tags.append(f"> {param.above}")
+            print(f"  {param.name} ({', '.join(tags)}): {param.doc}")
     return 0
 
 
@@ -554,8 +527,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
+    except (CapacityError, OverflowError) as exc:
+        kind = "capacity" if isinstance(exc, CapacityError) else "numeric"
+        print(f"{kind} error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         # parameter combinations the library itself refuses

@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -38,19 +38,28 @@ def repair_phase(alpha: float, phase: float, x: float) -> float:
     return alpha * math.sin(phase) * (x - peak_center(alpha, phase))
 
 
+class _ReadoutView(NamedTuple):
+    """What every homodyne readout of one tagged state reads."""
+
+    norm_squared: float
+    groups: tuple[tuple[int, float, float], ...]  # as ProbeTaggedState.phase_groups()
+    centers: tuple[float, ...]  # every peak centre, ascending
+    # (occupation, amplitude, peak centre, alpha sin(phase)) per branch, the factors
+    # of the conditioning weight in the module docstring
+    conditioning: tuple[tuple[tuple[int, ...], complex, float, float], ...]
+
+
 class ProbeTaggedState:
     """Signal ket whose branches are tagged with exact probe-phase indices.
 
     Branch keys are ``(occupation, phase_index)``; the physical probe phase
     of a branch is ``phase_index * theta / 2``.  The state is immutable, so
-    the values every homodyne draw reads (norm, phase groups, peak centres)
-    are computed on first use and kept.
+    everything a homodyne readout reads (norm, phase groups, peak centres,
+    per-branch conditioning factors) is built once, as one view, on first
+    use and kept.
     """
 
-    __slots__ = (
-        "_register", "_terms", "_alpha", "_theta", "_norm_squared", "_groups", "_conditioning",
-        "_centers",
-    )
+    __slots__ = ("_register", "_terms", "_alpha", "_theta", "_view_cache")
 
     def __init__(
         self,
@@ -59,21 +68,35 @@ class ProbeTaggedState:
         alpha: float,
         theta: float,
     ):
+        checked = {
+            (_check_occupation(register, occ), int(idx)): amp
+            for (occ, idx), amp in _significant(terms).items()
+        }
+        self._init(register, checked, alpha, theta)
+
+    @classmethod
+    def _from_valid(
+        cls,
+        register: ModeRegister,
+        terms: Mapping[tuple[tuple[int, ...], int], complex],
+        alpha: float,
+        theta: float,
+    ) -> "ProbeTaggedState":
+        """Tagged state from keys valid by construction; only the probe is checked."""
+        state = cls.__new__(cls)
+        state._init(register, _significant(terms), alpha, theta)
+        return state
+
+    def _init(self, register: ModeRegister, terms: dict, alpha: float, theta: float) -> None:
         if alpha < 0:
             raise ValueError("probe amplitude must be non-negative")
         if theta <= 0:
             raise ValueError("base Kerr phase must be positive")
         self._register = register
-        self._terms = {
-            (_check_occupation(register, occ), int(idx)): amp
-            for (occ, idx), amp in _significant(terms).items()
-        }
+        self._terms = terms
         self._alpha = float(alpha)
         self._theta = float(theta)
-        self._norm_squared: float | None = None
-        self._groups: tuple[tuple[int, float, float], ...] | None = None
-        self._conditioning: tuple[tuple[tuple[int, ...], complex, float, float], ...] | None = None
-        self._centers: tuple[float, ...] | None = None
+        self._view_cache: _ReadoutView | None = None
 
     @property
     def register(self) -> ModeRegister:
@@ -93,11 +116,26 @@ class ProbeTaggedState:
     def __len__(self) -> int:
         return len(self._terms)
 
+    def _view(self) -> _ReadoutView:
+        if self._view_cache is None:
+            weights: dict[int, float] = {}
+            for (_, idx), amp in self._terms.items():
+                weights[idx] = weights.get(idx, 0.0) + abs(amp) ** 2
+            centers = {idx: peak_center(self._alpha, self.phase_of(idx)) for idx in weights}
+            rates = {idx: self._alpha * math.sin(self.phase_of(idx)) for idx in weights}
+            self._view_cache = _ReadoutView(
+                norm_squared=sum(abs(a) ** 2 for a in self._terms.values()),
+                groups=tuple((idx, weights[idx], centers[idx]) for idx in sorted(weights)),
+                centers=tuple(sorted(centers.values())),
+                conditioning=tuple(
+                    (occ, amp, centers[idx], rates[idx]) for (occ, idx), amp in self._terms.items()
+                ),
+            )
+        return self._view_cache
+
     @property
     def norm_squared(self) -> float:
-        if self._norm_squared is None:
-            self._norm_squared = sum(abs(a) ** 2 for a in self._terms.values())
-        return self._norm_squared
+        return self._view().norm_squared
 
     @property
     def is_normalized(self) -> bool:
@@ -106,46 +144,13 @@ class ProbeTaggedState:
     def phase_of(self, index: int) -> float:
         return index * self._theta / 2.0
 
-    def peak_center(self, index: int) -> float:
-        """Homodyne peak of the branches at one phase index."""
-        return peak_center(self._alpha, self.phase_of(index))
-
     def group_weights(self) -> dict[int, float]:
         """Total squared amplitude per phase index, in index order."""
         return {idx: weight for idx, weight, _ in self.phase_groups()}
 
     def phase_groups(self) -> tuple[tuple[int, float, float], ...]:
         """``(phase index, total squared amplitude, peak centre)`` per group, in index order."""
-        if self._groups is None:
-            weights: dict[int, float] = {}
-            for (_, idx), amp in self._terms.items():
-                weights[idx] = weights.get(idx, 0.0) + abs(amp) ** 2
-            self._groups = tuple(
-                (idx, weight, self.peak_center(idx)) for idx, weight in sorted(weights.items())
-            )
-        return self._groups
-
-    def _conditioning_terms(self) -> tuple[tuple[tuple[int, ...], complex, float, float], ...]:
-        """``(occupation, amplitude, peak centre, alpha sin(phase))`` per branch.
-
-        Conditioning on ``x`` weights a branch by
-        ``exp(-(x - centre)^2 / 4) exp(i alpha sin(phase) (x - centre))``.
-        """
-        if self._conditioning is None:
-            self._conditioning = tuple(
-                (occ, amp, self.peak_center(idx), self._alpha * math.sin(self.phase_of(idx)))
-                for (occ, idx), amp in self._terms.items()
-            )
-        return self._conditioning
-
-    def _nearest_peak_offset(self, x: float) -> float:
-        """Distance from ``x`` to the nearest homodyne peak (inf without branches)."""
-        if self._centers is None:
-            self._centers = tuple(sorted(center for _, _, center in self.phase_groups()))
-        centers = self._centers
-        i = bisect.bisect(centers, x)
-        near = centers[max(i - 1, 0) : i + 1]
-        return min(abs(x - near[0]), abs(x - near[-1])) if near else math.inf
+        return self._view().groups
 
     def branch(self, index: int) -> FockKet | None:
         """Renormalized signal component at one phase index, if present."""
@@ -159,19 +164,6 @@ class ProbeTaggedState:
             f"ProbeTaggedState({len(self._terms)} branches, "
             f"alpha={self._alpha}, theta={self._theta})"
         )
-
-
-def _tagged(
-    register: ModeRegister,
-    terms: Mapping[tuple[tuple[int, ...], int], complex],
-    alpha: float,
-    theta: float,
-) -> ProbeTaggedState:
-    """Tagged state whose occupations are valid by construction (taken from a
-    valid ket or tagged state), so they are not checked again."""
-    state = ProbeTaggedState(register, {}, alpha, theta)
-    state._terms = _significant(terms)
-    return state
 
 
 @dataclass(frozen=True)
@@ -191,7 +183,7 @@ class HomodyneOutcome:
 
 def attach_probe(ket: FockKet, alpha: float, theta: float) -> ProbeTaggedState:
     """Pair a signal ket with a fresh coherent probe (all branches at phase 0)."""
-    return _tagged(
+    return ProbeTaggedState._from_valid(
         ket.register,
         {(occ, 0): amp for occ, amp in ket.items()},
         alpha,
@@ -213,13 +205,13 @@ def apply_cross_kerr(state: ProbeTaggedState, weights: Iterable[int]) -> ProbeTa
         shifted = idx + sum(w * n for w, n in zip(weights, occ))
         key = (occ, shifted)
         out[key] = out.get(key, 0.0) + amp
-    return _tagged(state.register, out, state.alpha, state.theta)
+    return ProbeTaggedState._from_valid(state.register, out, state.alpha, state.theta)
 
 
 def apply_probe_phase(state: ProbeTaggedState, shift_index: int) -> ProbeTaggedState:
     """Shift every branch's phase index by a fixed amount (a probe phase gate)."""
     shift_index = int(shift_index)
-    return _tagged(
+    return ProbeTaggedState._from_valid(
         state.register,
         {(occ, idx + shift_index): amp for (occ, idx), amp in state.items()},
         state.alpha,
@@ -251,8 +243,12 @@ def homodyne_condition(state: ProbeTaggedState, x: float) -> FockKet | None:
     is above 0) every amplitude is first scaled by one power of two.  That is
     exact: wherever nothing was pruned the normalized ket keeps its bits.
     """
-    terms = state._conditioning_terms()
-    nearest = state._nearest_peak_offset(x)
+    view = state._view()
+    terms = view.conditioning
+    # distance to the nearest homodyne peak (inf without branches)
+    i = bisect.bisect(view.centers, x)
+    near = view.centers[max(i - 1, 0) : i + 1]
+    nearest = min(abs(x - near[0]), abs(x - near[-1])) if near else math.inf
     if nearest > _TAIL_OFFSET and homodyne_pdf(state, x) > 0.0:
         scale = math.ldexp(1.0, -math.frexp(math.exp(-0.25 * nearest * nearest))[1])
         terms = [(occ, amp * scale, center, rate) for occ, amp, center, rate in terms]

@@ -110,6 +110,8 @@ def six_photon_mixture(k: float) -> SixPhotonMixtureWeights:
         complex(np.sqrt(complex(6.0 * (k - 1.0) / denom))),
         complex(np.sqrt(complex((k - 1.0) * (k - 2.0) / denom))),
     )
+    if not np.isfinite(amps).all():
+        raise CapacityError(f"k={k} is too large: the mixture amplitudes are not finite")
     return SixPhotonMixtureWeights(k=k, amps=amps)
 
 

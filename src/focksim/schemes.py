@@ -78,21 +78,23 @@ def ghz_state() -> FockKet:
     )
 
 
+def _single_minority_patterns(majority: str, minority: str) -> list[str]:
+    """The nine patterns with one ``minority`` letter in each arm triple, in (i, j) order."""
+    halves = [majority * i + minority + majority * (2 - i) for i in range(3)]
+    return [half_c + half_d for half_c in halves for half_d in halves]
+
+
 def w_pair_state(flipped: bool = False) -> FockKet:
     """Product of two three-mode W states, one per arm triple.
 
     Nine equal-amplitude patterns with a single V (single H when
     ``flipped``) in each triple.
     """
-    minority, majority = ("H", "V") if flipped else ("V", "H")
-    terms: dict[tuple[int, ...], complex] = {}
-    for i in range(3):
-        for j in range(3):
-            half_c = [majority] * 3
-            half_c[i] = minority
-            half_d = [majority] * 3
-            half_d[j] = minority
-            terms[pattern_occupation("".join(half_c + half_d))] = 1.0 / 3.0
+    majority, minority = ("V", "H") if flipped else ("H", "V")
+    terms = {
+        pattern_occupation(pattern): 1.0 / 3.0
+        for pattern in _single_minority_patterns(majority, minority)
+    }
     return FockKet(scheme_register, terms)
 
 
@@ -208,15 +210,9 @@ def _branch_patterns() -> dict[int, tuple[str, str]]:
     groups them by the magnitude of the probe phase they acquire.
     """
     patterns = ["H" * 6, "V" * 6]
-    for i in range(3):
-        for j in range(3):
-            half_c = ["H"] * 3
-            half_c[i] = "V"
-            half_d = ["H"] * 3
-            half_d[j] = "V"
-            pattern = "".join(half_c + half_d)
-            patterns.append(pattern)
-            patterns.append(pattern.translate(str.maketrans("HV", "VH")))
+    for pattern in _single_minority_patterns("H", "V"):
+        patterns.append(pattern)
+        patterns.append(pattern.translate(str.maketrans("HV", "VH")))
     groups: dict[int, tuple[str, str]] = {}
     for pattern in patterns:
         phase = sum(

@@ -227,6 +227,7 @@ VALIDATE_GAPS = [
     (("homodyne-sweep", *START_PAIR, "theta=0"), "theta"),
     (("pdc-weights", "tau=0.3", "n_max=-1"), "n_max"),
     (("ghz-circuit", "samples=-3"), "samples"),
+    (("pdc-weights", "k=2", "n_max=-1"), "n_max"),
 ]
 
 
@@ -357,3 +358,101 @@ def test_main_calls_in_one_process_match_lone_calls(out_dir, tmp_path_factory, c
     in_sequence = [outcome(args, out_dir, capsys) for args in sequence]
     assert [code for code, *_ in in_sequence] == [2, 2, 0, 0, 0]
     assert in_sequence == alone
+
+
+# a valid config per experiment; a bounded parameter's value replaces its entry
+VALID_OVERRIDES = {
+    "cascade": {"m0": "0.6", "n0": "0.3", "k": "2"},
+    "symmetry-detect": {"m0": "0.6", "n0": "0.3"},
+    "homodyne-sweep": {"m0": "0.6", "n0": "0.3"},
+    "psi-theta": {},
+    "ghz-circuit": {"samples": "1", "seed": "1"},
+    "pdc-weights": {"tau": "0.3"},
+}
+
+
+def _bound_cases():
+    for experiment in cli.EXPERIMENTS.values():
+        for param in experiment.params:
+            if param.min is not None or param.above is not None:
+                yield pytest.param(experiment, param, id=f"{experiment.name}-{param.name}")
+
+
+def _config(experiment, param, value) -> list[str]:
+    values = dict(VALID_OVERRIDES[experiment.name])
+    if experiment.name == "pdc-weights" and param.name == "k":
+        del values["tau"]  # the mixture takes k in place of tau
+    values[param.name] = value
+    return [f"{key}={raw}" for key, raw in values.items()]
+
+
+def _past(param) -> str:
+    """The nearest value outside the declared bound."""
+    if param.min is None:
+        return repr(param.above)
+    return str(param.min - 1) if param.kind == "int" else repr(math.nextafter(param.min, -math.inf))
+
+
+@pytest.mark.parametrize("experiment, param", list(_bound_cases()))
+def test_declared_bound_is_enforced_and_listed(out_dir, tmp_path_factory, capsys, experiment, param):
+    outside = _config(experiment, param, _past(param))
+    assert run_cli("run", experiment.name, *outside) == 2
+    assert f"parameter '{param.name}'" in capsys.readouterr().err
+    assert not any(out_dir.iterdir())
+    path = tmp_path_factory.mktemp("config") / "job.cfg"
+    path.write_text("\n".join([f"experiment = {experiment.name}"] + outside) + "\n")
+    assert run_cli("validate", str(path)) == 2
+    assert f"error: parameter '{param.name}'" in capsys.readouterr().out
+    if param.min is not None:
+        # the bound itself is allowed (an `above` bound is the value outside it)
+        inside = _config(experiment, param, str(param.min))
+        path.write_text("\n".join([f"experiment = {experiment.name}"] + inside) + "\n")
+        assert run_cli("validate", str(path)) == 0
+        assert capsys.readouterr().out == "ok\n"
+    assert run_cli("list") == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith(f"{experiment.name}: "))
+    listed = next(line for line in lines[header:] if line.startswith(f"  {param.name} ("))
+    bound = f">= {param.min}" if param.min is not None else f"> {param.above}"
+    assert listed.split("):", 1)[0].endswith(f", {bound}")
+
+
+def test_validate_lists_every_broken_bound_and_no_cross_rule(tmp_path, capsys):
+    path = tmp_path / "job.cfg"
+    # m0 = n0 = 0 breaks a cross-parameter rule, reported only once the bounds hold
+    path.write_text("experiment = cascade\nm0 = 0\nn0 = 0\nk = 0\nalpha = -1\ntheta = 0\n")
+    assert run_cli("validate", str(path)) == 2
+    assert capsys.readouterr().out == (
+        "error: parameter 'k' must be at least 1\n"
+        "error: parameter 'alpha' must be non-negative\n"
+        "error: parameter 'theta' must be positive\n"
+    )
+    path.write_text("experiment = cascade\nm0 = 0\nn0 = 0\nk = 1\n")
+    assert run_cli("validate", str(path)) == 2
+    assert capsys.readouterr().out == "error: parameters 'm0' and 'n0' must not both be zero\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("pdc-weights", "tau=400"),
+        ("pdc-weights", "tau=800"),
+        ("homodyne-sweep", "m0=1", "n0=0", "alpha=1e307"),
+        ("ghz-circuit", "alpha=1e200"),
+    ],
+)
+def test_numeric_overflow_exits_3(out_dir, capsys, args):
+    assert run_cli("run", *args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ")
+    assert "Traceback" not in err
+    assert not any(out_dir.iterdir())
+
+
+def test_mixture_overflow_is_a_capacity_error(out_dir, capsys):
+    assert run_cli("run", "pdc-weights", "k=1e200") == 3
+    assert "k=1e+200" in capsys.readouterr().err
+    assert not any(out_dir.iterdir())
+    assert run_cli("run", "pdc-weights", "k=1e150") == 0
+    _, rows = read_csv(out_dir / "pdc-weights.csv")
+    assert all(math.isfinite(float(cell)) for cell in rows[0])

@@ -58,6 +58,32 @@ class TestAttachProbe:
         with pytest.raises(ValueError, match="non-negative"):
             ProbeTaggedState(TWO, {((1, -1), 0): 1.0}, 2.0, 0.5)
 
+    @pytest.mark.parametrize("alpha, theta, message", [(-1.0, 0.5, "non-negative"), (2.0, 0.0, "positive")])
+    def test_both_constructors_check_the_probe(self, alpha, theta, message):
+        with pytest.raises(ValueError, match=message):
+            ProbeTaggedState(TWO, {((1, 0), 0): 1.0}, alpha, theta)
+        with pytest.raises(ValueError, match=message):
+            ProbeTaggedState._from_valid(TWO, {((1, 0), 0): 1.0}, alpha, theta)
+
+    @pytest.mark.parametrize("m, n", [(0.5, 0.5), (0.6, math.sqrt(0.5 - 0.36)), (0.0, math.sqrt(0.5))])
+    def test_readout_view_matches_written_out_expressions(self, m, n):
+        tagged = tagged_detector_state(m, n, alpha=500.0, theta=0.2)
+        weights = {}
+        for (_, idx), amp in tagged.items():
+            weights[idx] = weights.get(idx, 0.0) + abs(amp) ** 2
+        groups = tuple(
+            (idx, weight, peak_center(500.0, tagged.phase_of(idx))) for idx, weight in sorted(weights.items())
+        )
+        conditioning = tuple(
+            (occ, amp, peak_center(500.0, tagged.phase_of(idx)), 500.0 * math.sin(tagged.phase_of(idx)))
+            for (occ, idx), amp in tagged.items()
+        )
+        assert tagged.norm_squared == sum(abs(amp) ** 2 for _, amp in tagged.items())
+        assert tagged.phase_groups() == groups
+        view = tagged._view()
+        assert view.conditioning == conditioning
+        assert view.centers == tuple(sorted(center for _, _, center in groups))
+
 
 class TestCrossKerr:
     def test_zero_weights_identity(self):

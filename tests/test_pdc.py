@@ -159,6 +159,18 @@ class TestSixPhotonMixture:
         with pytest.raises(ValueError, match="at least 1"):
             six_photon_mixture(0.5)
 
+    @pytest.mark.parametrize("k", [1e200, 1e308])
+    def test_overflowing_ratio_is_a_capacity_error(self, k):
+        # (k + 1)(k + 2) overflows; the amplitudes would read nan
+        with pytest.raises(CapacityError, match="k="):
+            six_photon_mixture(k)
+
+    def test_largest_finite_results_keep_their_bits(self):
+        mixture = six_photon_mixture(1e150)
+        denom = (1e150 + 1.0) * (1e150 + 2.0)
+        assert mixture.amps[0] == complex(math.sqrt(6.0 / denom))
+        assert all(math.isfinite(abs(a)) for a in mixture.amps)
+
     def test_component_kets(self):
         single = mixture_component_ket(0)
         assert single.fidelity(psi_n(3)) == pytest.approx(1.0)

@@ -27,12 +27,11 @@ amplitudes are Python ``complex``, as in every ket.
 from __future__ import annotations
 
 import math
-from functools import cache
 from typing import Iterable
 
 import numpy as np
 
-from .fock import _SQRT_FACT, MAX_OCCUPANCY, FockKet, ModeRegister
+from .fock import _SQRT_FACT, MAX_OCCUPANCY, FockKet, ModeRegister, _sqrt_factorials
 
 UNITARITY_TOLERANCE = 1e-12
 
@@ -132,12 +131,6 @@ class ModeTransform:
 
     def __repr__(self) -> str:
         return f"ModeTransform(on {self._register!r})"
-
-
-@cache
-def _sqrt_factorials(m: int) -> tuple[float, ...]:
-    """sqrt(k!) for k = 0..m, computed as :data:`focksim.fock._SQRT_FACT` is."""
-    return tuple(math.sqrt(math.factorial(k)) for k in range(m + 1))
 
 
 def _expansion(row: tuple[tuple[int, complex], ...], m: int) -> _Expansion:

@@ -16,6 +16,7 @@ those checks.  Either way every stored amplitude is a Python ``complex``.
 from __future__ import annotations
 
 import math
+from functools import cache
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
@@ -23,8 +24,14 @@ MAX_OCCUPANCY = 15
 PRUNE_THRESHOLD = 1e-14
 NORM_TOLERANCE = 1e-12
 
-# sqrt-factorial lookup, index 0..16; avoids repeated floating recomputation
-_SQRT_FACT = tuple(math.sqrt(math.factorial(k)) for k in range(MAX_OCCUPANCY + 2))
+
+@cache
+def _sqrt_factorials(m: int) -> tuple[float, ...]:
+    """sqrt(k!) for k = 0..m; ``_SQRT_FACT`` is the table up to a term's cap plus one."""
+    return tuple(math.sqrt(math.factorial(k)) for k in range(m + 1))
+
+
+_SQRT_FACT = _sqrt_factorials(MAX_OCCUPANCY + 1)
 
 _POLARIZATIONS = ("H", "V")
 

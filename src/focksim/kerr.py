@@ -243,6 +243,8 @@ def homodyne_condition(state: ProbeTaggedState, x: float) -> FockKet | None:
     is above 0) every amplitude is first scaled by one power of two.  That is
     exact: wherever nothing was pruned the normalized ket keeps its bits.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"quadrature x must be finite, got {x}")
     view = state._view()
     terms = view.conditioning
     # distance to the nearest homodyne peak (inf without branches)

@@ -75,7 +75,10 @@ def squeezed_weights(tau: float, n_max: int) -> SqueezedExpansion:
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    sech2 = 1.0 / math.cosh(tau) ** 2
+    try:
+        sech2 = 1.0 / math.cosh(tau) ** 2
+    except OverflowError:
+        raise OverflowError(f"tau={tau} is too large: cosh(tau)**2 overflows a double") from None
     t = math.tanh(tau)
     weights = tuple(math.sqrt(n + 1.0) * t**n * sech2 for n in range(n_max + 1))
     return SqueezedExpansion(tau=float(tau), n_max=n_max, weights=weights)

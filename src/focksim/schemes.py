@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .elements import bs_unbalanced, pbs, polarization_rotation
+from .elements import apply_circuit, bs_unbalanced, pbs, polarization_rotation
 from .fock import FockKet, ModeRegister, expand_bilinear_power
 from .kerr import (
     apply_cross_kerr,
@@ -202,77 +202,65 @@ class GhzDecodeTable:
         return peak_center(self.alpha, interval.branch * self.theta)
 
 
-def _branch_patterns() -> dict[int, tuple[str, str]]:
-    """Branch phase (base units) -> (more-H pattern, its complement).
+def _branch_patterns() -> dict[int, str]:
+    """Branch phase (base units) -> the pattern whose spin flips repair it.
 
-    Enumerates the 20 patterns the prepared state supports (both uniform
-    patterns plus every single-minority placement in each triple) and
-    groups them by the magnitude of the probe phase they acquire.
+    Walks the ten H-majority patterns the prepared state supports: the
+    uniform one and every single-minority placement in each triple.  A
+    pattern and its complement acquire opposite phases, which the X
+    quadrature cannot tell apart; each pair is keyed by the magnitude and
+    kept as its member with phase >= 0 (at 0, the H-majority one).
     """
-    patterns = ["H" * 6, "V" * 6]
-    for pattern in _single_minority_patterns("H", "V"):
-        patterns.append(pattern)
-        patterns.append(pattern.translate(str.maketrans("HV", "VH")))
-    groups: dict[int, tuple[str, str]] = {}
-    for pattern in patterns:
-        phase = sum(
-            w for w, pol in zip(GHZ_KERR_THETA_WEIGHTS, pattern) if pol == "H"
-        ) - 12
-        # the plus branch is the H-majority member; at phase 0 the pair is
-        # degenerate and the H-majority choice keeps the repair at two flips
-        if phase > 0 or (phase == 0 and pattern.count("H") > 3):
-            partner = pattern.translate(str.maketrans("HV", "VH"))
-            groups[phase] = (pattern, partner)
-    return groups
+    patterns = {}
+    for pattern in ["H" * 6] + _single_minority_patterns("H", "V"):
+        phase = sum(w for w, pol in zip(GHZ_KERR_THETA_WEIGHTS, pattern) if pol == "H")
+        phase += GHZ_PROBE_GATE // 2
+        patterns[abs(phase)] = pattern if phase >= 0 else pattern.translate(str.maketrans("HV", "VH"))
+    return patterns
 
 
 def decode_table(alpha: float, theta: float) -> GhzDecodeTable:
     """Build the ten-interval decode table for given probe parameters.
 
-    Thresholds sit halfway between neighbouring Gaussian peaks:
-    ``x_0 = alpha (cos 12 theta + cos 8 theta)`` and
-    ``x_i = alpha (cos (9-i) theta + cos (8-i) theta)`` for i = 1..8.
-    Rejected when the peak ordering degenerates (theta too large).
+    Intervals run up the quadrature axis and their branches down the census
+    phases, since a larger phase puts its peak ``2 alpha cos(phase theta)``
+    further left.  The threshold between neighbouring branches ``a > b`` is
+    their midpoint ``alpha (cos a theta + cos b theta)``.  Rejected when the
+    peak ordering degenerates (theta too large).
     """
     if alpha <= 0 or theta <= 0:
         raise ValueError("alpha and theta must be positive")
-    if 12 * theta > math.pi:
+    patterns = _branch_patterns()
+    branches = sorted(patterns, reverse=True)
+    if branches[0] * theta > math.pi:
         # the largest branch phase must stay on the monotone arc of the
         # cosine, otherwise peak positions stop decreasing with the phase
         raise ValueError(
-            f"theta={theta} too large: branch peak ordering needs 12*theta <= pi"
+            f"theta={theta} too large: branch peak ordering needs {branches[0]}*theta <= pi"
         )
-    thresholds = [alpha * (math.cos(12 * theta) + math.cos(8 * theta))]
-    thresholds += [
-        alpha * (math.cos((9 - i) * theta) + math.cos((8 - i) * theta)) for i in range(1, 9)
+    thresholds = [
+        alpha * (math.cos(a * theta) + math.cos(b * theta))
+        for a, b in zip(branches, branches[1:])
     ]
     if any(lo >= hi for lo, hi in zip(thresholds, thresholds[1:])):
         raise ValueError(
             f"homodyne thresholds are not strictly increasing at theta={theta}; "
             "branch peaks overlap"
         )
-    branch_of_interval = [12] + [9 - i for i in range(1, 9)] + [0]
-    patterns = _branch_patterns()
     edges = [-math.inf] + thresholds + [math.inf]
-    intervals = []
-    for index in range(10):
-        branch = branch_of_interval[index]
-        plus_pattern = patterns[branch][0]
-        flips = frozenset(
-            spatial
-            for spatial, pol in zip(SCHEME_SPATIALS, plus_pattern)
-            if pol == "V"
+    intervals = tuple(
+        DecodeInterval(
+            index=index,
+            x_lo=edges[index],
+            x_hi=edges[index + 1],
+            branch=branch,
+            flips=frozenset(
+                spatial for spatial, pol in zip(SCHEME_SPATIALS, patterns[branch]) if pol == "V"
+            ),
         )
-        intervals.append(
-            DecodeInterval(
-                index=index,
-                x_lo=edges[index],
-                x_hi=edges[index + 1],
-                branch=branch,
-                flips=flips,
-            )
-        )
-    return GhzDecodeTable(alpha=float(alpha), theta=float(theta), intervals=tuple(intervals))
+        for index, branch in enumerate(branches)
+    )
+    return GhzDecodeTable(alpha=float(alpha), theta=float(theta), intervals=intervals)
 
 
 # -- the extraction circuit ----------------------------------------------
@@ -303,8 +291,7 @@ def tagged_circuit_state(state: FockKet, alpha: float, theta: float):
         pbs(register, spatial, path, spatial)
         for spatial, path in zip(SCHEME_SPATIALS, _PATH_SPATIALS)
     ]
-    for splitter in splitters:
-        extended = splitter.apply(extended)
+    extended = apply_circuit(extended, splitters)
     weights = [0] * len(register)
     for path, w in zip(_PATH_SPATIALS, GHZ_KERR_THETA_WEIGHTS):
         weights[register.index(path, "H")] = 2 * w
@@ -321,11 +308,11 @@ class GhzReadout:
 
     A tracer ket carries every tagged occupation, with its position (from
     1) as amplitude, through the tap-undoing splitters and the restriction
-    to the scheme modes.  A
-    relabelling keeps every amplitude exactly, which is checked, so each
-    traced amplitude names the occupation it started from.  An interval's
-    map, built on first use, adds its spin flips; reading out a conditioned
-    ket then costs one pass over its terms.
+    to the scheme modes.  A relabelling keeps every amplitude exactly, which
+    is checked, so each traced amplitude names the occupation it started
+    from.  Construction builds one map per interval, which adds that
+    interval's spin flips; reading out a conditioned ket then costs one
+    pass over its terms.
     """
 
     def __init__(self, state: FockKet, alpha: float, theta: float):
@@ -333,26 +320,20 @@ class GhzReadout:
         self._tagged, splitters = tagged_circuit_state(state, alpha, theta)
         sources = list(dict.fromkeys(occ for (occ, _), _ in self._tagged.items()))
         tags = {occ: tag for tag, occ in enumerate(sources, start=1)}
-        tracer = FockKet(splitters[0].register, tags)
-        for splitter in splitters:
-            tracer = splitter.apply(tracer)
+        tracer = apply_circuit(FockKet(splitters[0].register, tags), splitters)
         undone = tracer.restricted(SCHEME_SPATIALS)
         if [tag for _, tag in undone.items()] != list(range(1, len(sources) + 1)):
             raise ValueError("undoing the taps is not a relabelling of basis states")
-        self._sources = sources
-        self._undone = undone
-        self._maps: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
+        self._maps = [
+            {sources[int(tag.real) - 1]: occ for occ, tag in spin_flip(undone, interval.flips).items()}
+            for interval in self.table.intervals
+        ]
 
     def _repair(self, conditioned: FockKet, x: float) -> tuple[FockKet, int]:
         """Relabel a conditioned ket into the scheme modes and repair its phase."""
         table = self.table
         interval = table.lookup(x)
-        relabel = self._maps.get(interval.index)
-        if relabel is None:
-            # the interval's occupation map: undo the taps, restrict, flip
-            flipped = spin_flip(self._undone, interval.flips)
-            relabel = {self._sources[int(tag.real) - 1]: occ for occ, tag in flipped.items()}
-            self._maps[interval.index] = relabel
+        relabel = self._maps[interval.index]
         phi = repair_phase(table.alpha, interval.branch * table.theta, x)
         if phi == 0.0:
             terms = {relabel[occ]: amp for occ, amp in conditioned.items()}
@@ -374,12 +355,8 @@ class GhzReadout:
         below ``MIN_DECODABLE_DENSITY`` or conditioning leaves no term.
         """
         x = float(x)
-        if not math.isfinite(x):
-            raise ValueError(f"quadrature x must be finite, got {x}")
-        conditioned = None
-        if homodyne_pdf(self._tagged, x) >= MIN_DECODABLE_DENSITY:
-            conditioned = homodyne_condition(self._tagged, x)
-        if conditioned is None:
+        conditioned = homodyne_condition(self._tagged, x)
+        if conditioned is None or homodyne_pdf(self._tagged, x) < MIN_DECODABLE_DENSITY:
             return None, self.table.lookup(x).index
         return self._repair(conditioned, x)
 

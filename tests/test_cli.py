@@ -449,6 +449,13 @@ def test_numeric_overflow_exits_3(out_dir, capsys, args):
     assert not any(out_dir.iterdir())
 
 
+@pytest.mark.parametrize("tau", ["400", "800"])
+def test_squeezing_overflow_names_tau(out_dir, capsys, tau):
+    assert run_cli("run", "pdc-weights", f"tau={tau}") == 3
+    assert f"tau={tau}" in capsys.readouterr().err
+    assert not any(out_dir.iterdir())
+
+
 def test_mixture_overflow_is_a_capacity_error(out_dir, capsys):
     assert run_cli("run", "pdc-weights", "k=1e200") == 3
     assert "k=1e+200" in capsys.readouterr().err

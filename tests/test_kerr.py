@@ -220,6 +220,12 @@ class TestHomodyneConditioning:
         )
         assert conditioned.fidelity(expected) > 1.0 - 1e-6
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_outcome_rejected(self, x):
+        tagged = tagged_detector_state(0.6, math.sqrt(0.5 - 0.36))
+        with pytest.raises(ValueError, match="quadrature x must be finite"):
+            homodyne_condition(tagged, x)
+
     def test_zero_density_outcome_is_empty(self):
         tagged = tagged_detector_state(0.5, 0.5)
         assert homodyne_condition(tagged, 2000.0 + 200.0) is None

@@ -23,6 +23,12 @@ from focksim import (
     w_pair_state,
 )
 from focksim.kerr import homodyne_condition, sample_homodyne
+from focksim.schemes import (
+    GHZ_KERR_THETA_WEIGHTS,
+    SCHEME_SPATIALS,
+    DecodeInterval,
+    GhzDecodeTable,
+)
 
 ALPHA, THETA = 1000.0, 0.1
 HALF_PI = math.pi / 2.0
@@ -395,3 +401,96 @@ def test_condition_matches_per_draw_readout_near_every_peak(readouts, data):
     )
     assert index == expected_index
     assert list(corrected.items()) == list(expected.items())
+
+
+# -- the decode table as it was built before the branch census derived it --
+
+
+def old_branch_patterns() -> dict[int, tuple[str, str]]:
+    """Branch phase -> (more-H pattern, its complement), from all 20 patterns."""
+    patterns = ["H" * 6, "V" * 6]
+    for pattern in [h + d for h in ("VHH", "HVH", "HHV") for d in ("VHH", "HVH", "HHV")]:
+        patterns.append(pattern)
+        patterns.append(pattern.translate(str.maketrans("HV", "VH")))
+    groups: dict[int, tuple[str, str]] = {}
+    for pattern in patterns:
+        phase = sum(
+            w for w, pol in zip(GHZ_KERR_THETA_WEIGHTS, pattern) if pol == "H"
+        ) - 12
+        if phase > 0 or (phase == 0 and pattern.count("H") > 3):
+            partner = pattern.translate(str.maketrans("HV", "VH"))
+            groups[phase] = (pattern, partner)
+    return groups
+
+
+def old_decode_table(alpha: float, theta: float) -> GhzDecodeTable:
+    """Written-out interval order and two threshold formulas."""
+    if alpha <= 0 or theta <= 0:
+        raise ValueError("alpha and theta must be positive")
+    if 12 * theta > math.pi:
+        raise ValueError(
+            f"theta={theta} too large: branch peak ordering needs 12*theta <= pi"
+        )
+    thresholds = [alpha * (math.cos(12 * theta) + math.cos(8 * theta))]
+    thresholds += [
+        alpha * (math.cos((9 - i) * theta) + math.cos((8 - i) * theta)) for i in range(1, 9)
+    ]
+    if any(lo >= hi for lo, hi in zip(thresholds, thresholds[1:])):
+        raise ValueError(
+            f"homodyne thresholds are not strictly increasing at theta={theta}; "
+            "branch peaks overlap"
+        )
+    branch_of_interval = [12] + [9 - i for i in range(1, 9)] + [0]
+    patterns = old_branch_patterns()
+    edges = [-math.inf] + thresholds + [math.inf]
+    intervals = []
+    for index in range(10):
+        branch = branch_of_interval[index]
+        plus_pattern = patterns[branch][0]
+        flips = frozenset(
+            spatial for spatial, pol in zip(SCHEME_SPATIALS, plus_pattern) if pol == "V"
+        )
+        intervals.append(
+            DecodeInterval(
+                index=index,
+                x_lo=edges[index],
+                x_hi=edges[index + 1],
+                branch=branch,
+                flips=flips,
+            )
+        )
+    return GhzDecodeTable(alpha=float(alpha), theta=float(theta), intervals=tuple(intervals))
+
+
+def _table_or_error(build, alpha, theta):
+    try:
+        return build(alpha, theta)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    alpha=st.floats(1e-3, 1e6),
+    theta=st.one_of(
+        st.floats(0.0, 0.3, exclude_min=True),
+        # near the 12 theta = pi guard and where thresholds tie
+        st.sampled_from([math.pi / 12, math.nextafter(math.pi / 12, 1.0), 1e-9, 5e-324]),
+    ),
+)
+def test_decode_table_matches_written_out_construction(alpha, theta):
+    new = _table_or_error(decode_table, alpha, theta)
+    old = _table_or_error(old_decode_table, alpha, theta)
+    if isinstance(old, str):
+        assert new == old
+        return
+    assert (new.alpha, new.theta) == (old.alpha, old.theta)
+    assert len(new.intervals) == len(old.intervals) == 10
+    for got, want in zip(new.intervals, old.intervals):
+        assert (got.index, got.x_lo, got.x_hi, got.branch, got.flips) == (
+            want.index,
+            want.x_lo,
+            want.x_hi,
+            want.branch,
+            want.flips,
+        )

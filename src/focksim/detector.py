@@ -28,13 +28,13 @@ import numpy as np
 from .elements import ModeTransform, bs_5050
 from .fock import CapacityError, FockKet, ModeRegister
 from .kerr import (
+    _draw_homodyne,
     apply_cross_kerr,
     apply_probe_phase,
     attach_probe,
     make_rng,
     midpoint_threshold,
     repair_phase,
-    sample_homodyne,
 )
 
 PAIR_NORM_TOLERANCE = 1e-12
@@ -173,10 +173,10 @@ def detect(
 
     if rng is None:
         raise ValueError("sampled detection needs an rng or seed")
-    outcome = sample_homodyne(tagged, make_rng(rng))
-    branch, repaired = decide_and_repair(outcome.conditional, outcome.x, alpha, theta)
+    x, _, conditional = _draw_homodyne(tagged, make_rng(rng))
+    branch, repaired = decide_and_repair(conditional, x, alpha, theta)
     probability = p_symmetric if branch == "symmetric" else 1.0 - p_symmetric
-    return DetectorOutcome(branch, repaired, probability, outcome.x)
+    return DetectorOutcome(branch, repaired, probability, x)
 
 
 # -- cascade analysis ---------------------------------------------------

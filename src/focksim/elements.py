@@ -11,7 +11,11 @@ once, when the transform is constructed, and the multinomial expansion of
 each (input mode, occupancy) pair once, on first use, so applying a
 transform costs only the products and sums of the expansion itself.  The
 rows keep the matrix's numpy scalars: the expansion weights are computed
-from them, and converting them to Python ``complex`` moves output bits.
+from them, and converting the rows to Python ``complex`` moves output bits.
+Each finished weight is then stored as a Python ``complex``; that
+conversion is exact, and CPython computes a complex product and sum with
+the same formulas as numpy, so ``apply`` runs on Python scalars alone and
+its results keep their bits.
 
 A transform may be shared for the life of a process (the symmetry
 detector keeps one splitter per register).  Filling its expansion table
@@ -20,8 +24,8 @@ first needs it, so a shared transform gives the same bits as a fresh one.
 
 Photon number is conserved, so the output occupations of a ket whose terms
 each hold at most ``MAX_OCCUPANCY`` photons are valid by construction and
-the result is built without checking them (see :mod:`focksim.fock`); its
-amplitudes are Python ``complex``, as in every ket.
+the result is built without checking or converting them (see
+:mod:`focksim.fock`); its amplitudes are Python ``complex``, as in every ket.
 """
 
 from __future__ import annotations
@@ -140,7 +144,8 @@ def _expansion(row: tuple[tuple[int, complex], ...], m: int) -> _Expansion:
     def split(entry: int, remaining: int, used: list[tuple[int, int]], weight: complex) -> None:
         if entry == len(row) - 1:
             j, r = row[entry]
-            w = weight * r**remaining / math.factorial(remaining)
+            # converting the numpy scalar is exact; apply's products then stay Python complex
+            w = complex(weight * r**remaining / math.factorial(remaining))
             expansions.append((tuple(used + [(j, remaining)]) if remaining else tuple(used), w))
             return
         j, r = row[entry]

@@ -7,10 +7,12 @@ freely across threads.
 
 Occupations are validated once, where they enter from outside: the public
 ``FockKet(register, terms)``, :meth:`FockKet.basis`, :func:`read_state_text`
-and :func:`expand_bilinear_power` check every term's length and range.  A
-ket built from the terms of valid kets (every operation here, the elements
-and the readouts) goes through :meth:`FockKet._from_valid`, which skips
-those checks.  Either way every stored amplitude is a Python ``complex``.
+and :func:`expand_bilinear_power` check every term's length and range and
+convert every amplitude to a Python ``complex``.  A ket built from the
+terms of valid kets (every operation here, the elements and the readouts)
+goes through :meth:`FockKet._from_valid`, which trusts both and only
+prunes.  Either way every stored amplitude is a Python ``complex``, and a
+ket's norm squared is summed once, on first use, and kept.
 """
 
 from __future__ import annotations
@@ -131,20 +133,18 @@ def _check_occupation(register: ModeRegister, occ: tuple[int, ...]) -> tuple[int
     return occ
 
 
-def _significant(terms: Mapping[tuple[int, ...], complex]) -> dict[tuple[int, ...], complex]:
-    """The terms as Python ``complex``, without those below :data:`PRUNE_THRESHOLD`.
+def _pruned(terms: Mapping) -> dict:
+    """The terms without those below :data:`PRUNE_THRESHOLD`; a NaN amplitude is kept."""
+    return {key: amp for key, amp in terms.items() if not abs(amp) < PRUNE_THRESHOLD}
 
-    The conversion matters: amplitudes computed from numpy scalars would
-    otherwise carry numpy arithmetic into the next operation.  A NaN
-    amplitude is kept (it is not below the threshold).
+
+def _significant(terms: Mapping) -> dict:
+    """The terms as Python ``complex``, pruned as by :func:`_pruned`.
+
+    The conversion matters: amplitudes given as numpy scalars would
+    otherwise carry numpy arithmetic into the next operation.
     """
-    out: dict[tuple[int, ...], complex] = {}
-    for occ, amp in terms.items():
-        amp = complex(amp)
-        if abs(amp) < PRUNE_THRESHOLD:
-            continue
-        out[occ] = amp
-    return out
+    return _pruned({key: complex(amp) for key, amp in terms.items()})
 
 
 class FockKet:
@@ -154,13 +154,14 @@ class FockKet:
     construction, so every stored term is significant at double precision.
     """
 
-    __slots__ = ("_register", "_terms")
+    __slots__ = ("_register", "_terms", "_norm_squared")
 
     def __init__(self, register: ModeRegister, terms: Mapping[tuple[int, ...], complex]):
         self._register = register
         self._terms = {
             _check_occupation(register, occ): amp for occ, amp in _significant(terms).items()
         }
+        self._norm_squared: float | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -171,13 +172,15 @@ class FockKet:
         """Ket from terms whose occupations are valid by construction.
 
         Every key must be a tuple of ints of the register's length, each in
-        ``0..MAX_OCCUPANCY``, as the keys of any ket on that register are;
-        nothing is checked.  Amplitudes are converted and pruned as in the
-        public constructor.
+        ``0..MAX_OCCUPANCY``, as the keys of any ket on that register are,
+        and every amplitude a Python ``complex``, as the products and sums
+        of any ket's amplitudes are; nothing is checked or converted.
+        Amplitudes are pruned as in the public constructor.
         """
         ket = cls.__new__(cls)
         ket._register = register
-        ket._terms = _significant(terms)
+        ket._terms = _pruned(terms)
+        ket._norm_squared = None
         return ket
 
     @classmethod
@@ -208,7 +211,11 @@ class FockKet:
 
     @property
     def norm_squared(self) -> float:
-        return sum(abs(a) ** 2 for a in self._terms.values())
+        # the ket is immutable, so the sum is taken once (threads racing to
+        # fill the slot write the same value)
+        if self._norm_squared is None:
+            self._norm_squared = sum(abs(a) ** 2 for a in self._terms.values())
+        return self._norm_squared
 
     @property
     def norm(self) -> float:

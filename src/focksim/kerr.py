@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .fock import NORM_TOLERANCE, FockKet, ModeRegister, _check_occupation, _significant
+from .fock import NORM_TOLERANCE, FockKet, ModeRegister, _check_occupation, _pruned, _significant
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -43,6 +43,7 @@ class _ReadoutView(NamedTuple):
 
     norm_squared: float
     groups: tuple[tuple[int, float, float], ...]  # as ProbeTaggedState.phase_groups()
+    group_total: float  # the group weights summed in that order, which a draw scales
     centers: tuple[float, ...]  # every peak centre, ascending
     # (occupation, amplitude, peak centre, alpha sin(phase)) per branch, the factors
     # of the conditioning weight in the module docstring
@@ -82,9 +83,13 @@ class ProbeTaggedState:
         alpha: float,
         theta: float,
     ) -> "ProbeTaggedState":
-        """Tagged state from keys valid by construction; only the probe is checked."""
+        """Tagged state from keys and ``complex`` amplitudes valid by construction.
+
+        As :meth:`FockKet._from_valid`: the terms are only pruned, and only
+        the probe is checked.
+        """
         state = cls.__new__(cls)
-        state._init(register, _significant(terms), alpha, theta)
+        state._init(register, _pruned(terms), alpha, theta)
         return state
 
     def _init(self, register: ModeRegister, terms: dict, alpha: float, theta: float) -> None:
@@ -123,9 +128,11 @@ class ProbeTaggedState:
                 weights[idx] = weights.get(idx, 0.0) + abs(amp) ** 2
             centers = {idx: peak_center(self._alpha, self.phase_of(idx)) for idx in weights}
             rates = {idx: self._alpha * math.sin(self.phase_of(idx)) for idx in weights}
+            groups = tuple((idx, weights[idx], centers[idx]) for idx in sorted(weights))
             self._view_cache = _ReadoutView(
                 norm_squared=sum(abs(a) ** 2 for a in self._terms.values()),
-                groups=tuple((idx, weights[idx], centers[idx]) for idx in sorted(weights)),
+                groups=groups,
+                group_total=sum(weight for _, weight, _ in groups),
                 centers=tuple(sorted(centers.values())),
                 conditioning=tuple(
                     (occ, amp, centers[idx], rates[idx]) for (occ, idx), amp in self._terms.items()
@@ -219,15 +226,26 @@ def apply_probe_phase(state: ProbeTaggedState, shift_index: int) -> ProbeTaggedS
     )
 
 
+def _require_finite(x: float) -> None:
+    if not math.isfinite(x):
+        raise ValueError(f"quadrature x must be finite, got {x}")
+
+
 def homodyne_pdf(state: ProbeTaggedState, x: float) -> float:
     """Probability density of quadrature outcome ``x``.
 
     A mixture of unit-variance Gaussians, one per phase group, centred at
     ``2 alpha cos(phase)`` and weighted by the group's squared amplitude.
     """
+    _require_finite(x)
     total = 0.0
-    for _, weight, center in state.phase_groups():
-        total += weight * _INV_SQRT_2PI * math.exp(-0.5 * (x - center) ** 2)
+    try:
+        for _, weight, center in state.phase_groups():
+            total += weight * _INV_SQRT_2PI * math.exp(-0.5 * (x - center) ** 2)
+    except OverflowError:
+        raise OverflowError(
+            f"alpha={state.alpha} is too large: (x - peak)**2 overflows a double at x={x}"
+        ) from None
     return total
 
 
@@ -243,8 +261,7 @@ def homodyne_condition(state: ProbeTaggedState, x: float) -> FockKet | None:
     is above 0) every amplitude is first scaled by one power of two.  That is
     exact: wherever nothing was pruned the normalized ket keeps its bits.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"quadrature x must be finite, got {x}")
+    _require_finite(x)
     view = state._view()
     terms = view.conditioning
     # distance to the nearest homodyne peak (inf without branches)
@@ -300,14 +317,22 @@ def sample_homodyne(state: ProbeTaggedState, rng) -> HomodyneOutcome:
     group's unit-variance Gaussian; conditioning uses the full mixture, so
     the conditional includes any overlap from neighbouring groups.
     """
+    x, group, conditional = _draw_homodyne(state, rng)
+    return HomodyneOutcome(x, group, conditional, homodyne_pdf(state, x))
+
+
+def _draw_homodyne(state: ProbeTaggedState, rng) -> tuple[float, int, FockKet]:
+    """:func:`sample_homodyne` as ``(x, interval index, conditional)``, without the density.
+
+    The readouts that draw (the GHZ readout, sampled detection) read no density.
+    """
     if not state.is_normalized:
         raise ValueError("sampling needs a normalized probe-tagged state")
     rng = make_rng(rng)
-    groups = state.phase_groups()
-    total = sum(weight for _, weight, _ in groups)
-    draw = rng.random() * total
+    view = state._view()
+    draw = rng.random() * view.group_total
     acc = 0.0
-    for chosen, weight, center in groups:
+    for chosen, weight, center in view.groups:
         acc += weight
         if draw < acc:
             break
@@ -315,9 +340,4 @@ def sample_homodyne(state: ProbeTaggedState, rng) -> HomodyneOutcome:
     conditional = homodyne_condition(state, x)
     if conditional is None:
         raise ValueError("sampled outcome has zero density; state inconsistent")
-    return HomodyneOutcome(
-        x=x,
-        interval_index=abs(chosen),
-        conditional=conditional,
-        probability_density=homodyne_pdf(state, x),
-    )
+    return x, abs(chosen), conditional

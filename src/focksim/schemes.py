@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .elements import apply_circuit, bs_unbalanced, pbs, polarization_rotation
 from .fock import FockKet, ModeRegister, expand_bilinear_power
 from .kerr import (
+    _draw_homodyne,
     apply_cross_kerr,
     apply_probe_phase,
     attach_probe,
@@ -25,7 +26,6 @@ from .kerr import (
     make_rng,
     peak_center,
     repair_phase,
-    sample_homodyne,
 )
 from .pdc import singlet_form
 
@@ -208,14 +208,16 @@ def _branch_patterns() -> dict[int, str]:
     Walks the ten H-majority patterns the prepared state supports: the
     uniform one and every single-minority placement in each triple.  A
     pattern and its complement acquire opposite phases, which the X
-    quadrature cannot tell apart; each pair is keyed by the magnitude and
-    kept as its member with phase >= 0 (at 0, the H-majority one).
+    quadrature cannot tell apart; the decode table keys each pair by its
+    H-majority member, so that member's phase must not be negative.
     """
     patterns = {}
     for pattern in ["H" * 6] + _single_minority_patterns("H", "V"):
         phase = sum(w for w, pol in zip(GHZ_KERR_THETA_WEIGHTS, pattern) if pol == "H")
         phase += GHZ_PROBE_GATE // 2
-        patterns[abs(phase)] = pattern if phase >= 0 else pattern.translate(str.maketrans("HV", "VH"))
+        if phase < 0:
+            raise ValueError(f"pattern {pattern} has negative branch phase {phase}")
+        patterns[phase] = pattern
     return patterns
 
 
@@ -362,9 +364,9 @@ class GhzReadout:
 
     def sample(self, rng) -> tuple[FockKet, int, float]:
         """Draw one outcome: ``(corrected state, interval index, x)``."""
-        outcome = sample_homodyne(self._tagged, rng)
-        corrected, index = self._repair(outcome.conditional, outcome.x)
-        return corrected, index, outcome.x
+        x, _, conditional = _draw_homodyne(self._tagged, rng)
+        corrected, index = self._repair(conditional, x)
+        return corrected, index, x
 
     def probabilities(self) -> tuple[float, ...]:
         """Exact probability of each homodyne interval."""

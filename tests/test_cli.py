@@ -463,3 +463,23 @@ def test_mixture_overflow_is_a_capacity_error(out_dir, capsys):
     assert run_cli("run", "pdc-weights", "k=1e150") == 0
     _, rows = read_csv(out_dir / "pdc-weights.csv")
     assert all(math.isfinite(float(cell)) for cell in rows[0])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("ghz-circuit", "alpha=1e200"), ("homodyne-sweep", "m0=1", "n0=0", "alpha=1e307")],
+)
+def test_probe_overflow_names_alpha(out_dir, capsys, args):
+    assert run_cli("run", *args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numeric error: {args[-1].replace('e', 'e+')} is too large")
+    assert not any(out_dir.iterdir())
+
+
+def test_sampled_run_reads_no_density_at_a_huge_probe(out_dir):
+    # the exact run overflows a homodyne density at alpha=1e200; draws read none
+    assert run_cli("run", "ghz-circuit", "alpha=1e200", "samples=20", "seed=1") == 0
+    _, rows = read_csv(out_dir / "ghz-circuit.csv")
+    assert sum(float(row[4]) for row in rows) == pytest.approx(1.0)
+    visited = [float(row[5]) for row in rows if float(row[4]) > 0]
+    assert visited and all(abs(fidelity - 1.0) < 1e-12 for fidelity in visited)

@@ -379,3 +379,17 @@ class TestSampling:
         for group, p in expected.items():
             bound = 3.0 * math.sqrt(p * (1.0 - p) / draws)
             assert abs(counts[group] / draws - p) < bound
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_density_rejects_non_finite_outcome(x):
+    tagged = tagged_detector_state(0.6, math.sqrt(0.5 - 0.36))
+    with pytest.raises(ValueError, match="quadrature x must be finite"):
+        homodyne_pdf(tagged, x)
+
+
+def test_density_overflow_names_alpha():
+    # the squared distance to the far peak, (2e200 (1 - cos 0.1))^2, overflows
+    tagged = tagged_detector_state(0.6, math.sqrt(0.5 - 0.36), alpha=1e200)
+    with pytest.raises(OverflowError, match=r"alpha=1e\+200 is too large"):
+        homodyne_pdf(tagged, 2e200)

@@ -494,3 +494,14 @@ def test_decode_table_matches_written_out_construction(alpha, theta):
             want.branch,
             want.flips,
         )
+
+
+def test_census_rejects_a_negative_branch_phase(monkeypatch):
+    # with a weak last cell, 'HHVVHH' gathers 1 + 2 + 6 + 1 = 10 of the gate's 12
+    from focksim import schemes
+
+    monkeypatch.setattr(schemes, "GHZ_KERR_THETA_WEIGHTS", (1, 2, 3, 3, 6, 1))
+    with pytest.raises(ValueError, match="negative branch phase"):
+        schemes._branch_patterns()
+    with pytest.raises(ValueError, match="negative branch phase"):
+        decode_table(ALPHA, THETA)

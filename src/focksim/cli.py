@@ -235,6 +235,14 @@ def _check_ghz(typed: dict) -> list[str]:
         errors.append("parameter 'seed' must be an unsigned 64-bit integer")
     if typed["samples"] > 0 and typed.get("seed") is None:
         errors.append("parameter 'seed' is required when samples > 0")
+    # a draw adds unit-variance noise to a peak near 2*alpha; once that noise
+    # falls below the peak's resolution every draw lands on a peak
+    ulp = math.ulp(2.0 * typed["alpha"])
+    if typed["samples"] > 0 and ulp > 2.0**-20:
+        errors.append(
+            "parameter 'alpha' must be below 2**32 when samples > 0: a draw's "
+            f"homodyne noise is lost below ulp(2*alpha) = {ulp:.3g}"
+        )
     return errors
 
 

@@ -7,20 +7,27 @@ applied to a ket by exact multinomial re-expansion, so photon number and
 norm are conserved to machine precision.
 
 The substitution rows (the nonzero entries of each matrix row) are built
-once, when the transform is constructed, and the multinomial expansion of
-each (input mode, occupancy) pair once, on first use, so applying a
-transform costs only the products and sums of the expansion itself.  The
-rows keep the matrix's numpy scalars: the expansion weights are computed
-from them, and converting the rows to Python ``complex`` moves output bits.
-Each finished weight is then stored as a Python ``complex``; that
+once, when the transform is constructed.  ``apply`` runs one program per
+input occupation, compiled on the first ket that holds it and replayed for
+every later one: the ``sqrt(m!)`` divisors of the amplitude, one level of
+``(dst, src, weight)`` multiply-adds per moved mode (modes the transform
+leaves in place are not expanded), and each output occupation with its
+``sqrt(k!)`` scale.  Replaying does the multinomial expansion's arithmetic
+in its order, but builds no keys: the output occupations are stored in the
+program.  The rows keep the matrix's numpy scalars: the expansion weights
+are computed from them, and converting the rows to Python ``complex`` moves
+output bits.  Each finished weight is stored as a Python ``complex``; that
 conversion is exact, and CPython computes a complex product and sum with
 the same formulas as numpy, so ``apply`` runs on Python scalars alone and
 its results keep their bits.
 
 A transform may be shared for the life of a process (the symmetry
-detector keeps one splitter per register).  Filling its expansion table
-is idempotent: each key always receives the same value, whichever ket
-first needs it, so a shared transform gives the same bits as a fresh one.
+detector keeps one splitter per register, the preparation pipeline its
+four splitters, the GHZ readout its six taps).  Filling its programs is
+idempotent: a program depends only on the rows and the occupation, never
+on the ket that first needs it, so a shared transform gives the same bits
+as a fresh one.  Its memory grows with the distinct occupations it has
+seen, and no further.
 
 Photon number is conserved, so the output occupations of a ket whose terms
 each hold at most ``MAX_OCCUPANCY`` photons are valid by construction and
@@ -42,12 +49,16 @@ UNITARITY_TOLERANCE = 1e-12
 # one (assignment, weight) per way to share an input mode's photons over its
 # row's output modes; an assignment lists (output mode, photons) pairs
 _Expansion = list[tuple[tuple[tuple[int, int], ...], complex]]
+# what apply does for one input occupation: the amplitude's divisors; per
+# moved mode, (size, (dst, src, weight) ops); the (output occupation, scale)
+# of each final term; and whether the term holds more than MAX_OCCUPANCY photons
+_Program = tuple[tuple, tuple, tuple, bool]
 
 
 class ModeTransform:
     """Unitary substitution rule on the creation operators of a register."""
 
-    __slots__ = ("_register", "_matrix", "_rows", "_moved", "_expansions")
+    __slots__ = ("_register", "_matrix", "_rows", "_moved", "_expansions", "_programs")
 
     def __init__(self, register: ModeRegister, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=complex)
@@ -67,8 +78,10 @@ class ModeTransform:
         )
         # input modes whose row is not exactly a_i^dag -> a_i^dag
         self._moved = tuple(i for i, row in enumerate(self._rows) if row != ((i, 1.0),))
-        # (input mode, occupancy) -> its multinomial expansion, filled by apply
+        # (input mode, occupancy) -> its multinomial expansion, filled by _compile
         self._expansions: dict[tuple[int, int], _Expansion] = {}
+        # input occupation -> its compiled program, filled by apply
+        self._programs: dict[tuple[int, ...], _Program] = {}
 
     @property
     def register(self) -> ModeRegister:
@@ -89,49 +102,72 @@ class ModeTransform:
         if ket.register != self._register:
             raise ValueError("ket register does not match transform register")
         out: dict[tuple[int, ...], complex] = {}
-        expansions = self._expansions
-        moved = self._moved
+        programs = self._programs
         checked = False
         for occ, amp in ket.items():
-            # an output mode can exceed the cap only if the term holds more
-            # photons; such a term reads its output factors from a longer table
-            total = sum(occ)
-            if total > MAX_OCCUPANCY:
-                checked = True
-                sqrt_fact = _sqrt_factorials(total)
-            else:
-                sqrt_fact = _SQRT_FACT
-            # sqrt(0!) = sqrt(1!) = 1.0: dividing or multiplying by it changes at
-            # most the sign of a zero part, which the first sum into ``out``
-            # clears, so only the larger factors are applied
-            prefactor = amp
-            for m in occ:
-                if m > 1:
-                    prefactor /= _SQRT_FACT[m]
-            # photons of modes the transform leaves in place start where they
-            # are; expanding them would multiply by exactly 1 + 0j
-            start = list(occ)
-            for i in moved:
-                start[i] = 0
-            partial: dict[tuple[int, ...], complex] = {tuple(start): prefactor}
-            for i in moved:
-                m = occ[i]
-                if m == 0:
-                    continue
-                expansion = expansions.get((i, m))
-                if expansion is None:
-                    expansion = expansions[(i, m)] = _expansion(self._rows[i], m)
-                partial = _distribute_mode(partial, expansion)
-            for powers, coeff in partial.items():
-                scale = 1.0
-                for p in powers:
-                    if p > 1:
-                        scale *= sqrt_fact[p]
-                value = coeff * scale if scale != 1.0 else coeff
-                out[powers] = out.get(powers, 0.0) + value
+            program = programs.get(occ)
+            if program is None:
+                program = programs[occ] = self._compile(occ)
+            divisors, levels, finals, over = program
+            checked = checked or over
+            for d in divisors:
+                amp /= d
+            values = [amp]
+            for size, ops in levels:
+                grown = [0.0] * size
+                for dst, src, weight in ops:
+                    grown[dst] = grown[dst] + values[src] * weight
+                values = grown
+            for (powers, scale), coeff in zip(finals, values):
+                out[powers] = out.get(powers, 0.0) + (coeff * scale if scale != 1.0 else coeff)
         if checked:
             return FockKet(self._register, out)
         return FockKet._from_valid(self._register, out)
+
+    def _compile(self, occ: tuple[int, ...]) -> _Program:
+        """The steps ``apply`` takes for one input occupation, in the order it takes them."""
+        # an output mode can exceed the cap only if the term holds more
+        # photons; such a term reads its output factors from a longer table
+        total = sum(occ)
+        sqrt_fact = _sqrt_factorials(total) if total > MAX_OCCUPANCY else _SQRT_FACT
+        # sqrt(0!) = sqrt(1!) = 1.0: dividing or multiplying by it changes at
+        # most the sign of a zero part, which the first sum into ``out``
+        # clears, so only the larger factors are applied
+        divisors = tuple(_SQRT_FACT[m] for m in occ if m > 1)
+        # photons of modes the transform leaves in place start where they
+        # are; expanding them would multiply by exactly 1 + 0j
+        start = list(occ)
+        for i in self._moved:
+            start[i] = 0
+        keys: list[tuple[int, ...]] = [tuple(start)]
+        levels = []
+        for i in self._moved:
+            m = occ[i]
+            if m == 0:
+                continue
+            expansion = self._expansions.get((i, m))
+            if expansion is None:
+                expansion = self._expansions[(i, m)] = _expansion(self._rows[i], m)
+            # multiply every partial term by the mode's expansion; a key's
+            # slot is its first appearance, as in an insertion-ordered dict
+            slots: dict[tuple[int, ...], int] = {}
+            ops = []
+            for src, powers in enumerate(keys):
+                for assignment, weight in expansion:
+                    lifted = list(powers)
+                    for j, k in assignment:
+                        lifted[j] += k
+                    ops.append((slots.setdefault(tuple(lifted), len(slots)), src, weight))
+            levels.append((len(slots), tuple(ops)))
+            keys = list(slots)
+        finals = []
+        for powers in keys:
+            scale = 1.0
+            for p in powers:
+                if p > 1:
+                    scale *= sqrt_fact[p]
+            finals.append((powers, scale))
+        return divisors, tuple(levels), tuple(finals), total > MAX_OCCUPANCY
 
     def __repr__(self) -> str:
         return f"ModeTransform(on {self._register!r})"
@@ -155,21 +191,6 @@ def _expansion(row: tuple[tuple[int, complex], ...], m: int) -> _Expansion:
 
     split(0, m, [], complex(math.factorial(m)))
     return expansions
-
-
-def _distribute_mode(
-    partial: dict[tuple[int, ...], complex], expansion: _Expansion
-) -> dict[tuple[int, ...], complex]:
-    """Multiply every term of ``partial`` by one mode's expansion."""
-    grown: dict[tuple[int, ...], complex] = {}
-    for powers, coeff in partial.items():
-        for assignment, weight in expansion:
-            lifted = list(powers)
-            for j, k in assignment:
-                lifted[j] += k
-            key = tuple(lifted)
-            grown[key] = grown.get(key, 0.0) + coeff * weight
-    return grown
 
 
 def identity(register: ModeRegister) -> ModeTransform:

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
-from .elements import apply_circuit, bs_unbalanced, pbs, polarization_rotation
+from .elements import ModeTransform, apply_circuit, bs_unbalanced, pbs, polarization_rotation
 from .fock import FockKet, ModeRegister, expand_bilinear_power
 from .kerr import (
     _draw_homodyne,
@@ -98,6 +99,20 @@ def w_pair_state(flipped: bool = False) -> FockKet:
     return FockKet(scheme_register, terms)
 
 
+@cache
+def _preparation() -> tuple[FockKet, tuple[ModeTransform, ...]]:
+    """The normalized twin-beam input and the four splitters, built once per process."""
+    register = ModeRegister.polarized(*_PIPE_SPATIALS)
+    source = expand_bilinear_power(singlet_form(register), 3, register).normalized()
+    splitters = (
+        bs_unbalanced(register, "a", "c1", "c0", 2.0 / 3.0),
+        bs_unbalanced(register, "b", "d1", "d0", 2.0 / 3.0),
+        bs_unbalanced(register, "c0", "c3", "c2", 0.5),
+        bs_unbalanced(register, "d0", "d3", "d2", 0.5),
+    )
+    return source, splitters
+
+
 def build_psi_theta(theta: float) -> SchemeResult:
     """Run the full preparation pipeline at rotation angle ``theta``.
 
@@ -106,13 +121,9 @@ def build_psi_theta(theta: float) -> SchemeResult:
     into (c2, c3) / (d2, d3), then post-selection on exactly one photon in
     each of the six output spatial modes.
     """
-    register = ModeRegister.polarized(*_PIPE_SPATIALS)
-    ket = expand_bilinear_power(singlet_form(register), 3, register).normalized()
-    ket = polarization_rotation(register, "b", theta).apply(ket)
-    ket = bs_unbalanced(register, "a", "c1", "c0", 2.0 / 3.0).apply(ket)
-    ket = bs_unbalanced(register, "b", "d1", "d0", 2.0 / 3.0).apply(ket)
-    ket = bs_unbalanced(register, "c0", "c3", "c2", 0.5).apply(ket)
-    ket = bs_unbalanced(register, "d0", "d3", "d2", 0.5).apply(ket)
+    source, splitters = _preparation()
+    ket = polarization_rotation(source.register, "b", theta).apply(source)
+    ket = apply_circuit(ket, splitters)
     projected, probability = ket.project({s: 1 for s in SCHEME_SPATIALS})
     if projected is None:
         raise ValueError("post-selection pattern has zero probability")
@@ -277,6 +288,13 @@ def _require_one_photon_per_mode(state: FockKet) -> None:
                 raise ValueError("circuit input needs exactly one photon per spatial mode")
 
 
+@cache
+def _taps(register: ModeRegister) -> tuple[ModeTransform, ...]:
+    """The polarizing taps of the scheme modes into their paths, built once per register."""
+    pairs = zip(SCHEME_SPATIALS, _PATH_SPATIALS)
+    return tuple(pbs(register, spatial, path, spatial) for spatial, path in pairs)
+
+
 def tagged_circuit_state(state: FockKet, alpha: float, theta: float):
     """Probe-tagged state after the polarizing taps and Kerr cells.
 
@@ -289,10 +307,7 @@ def tagged_circuit_state(state: FockKet, alpha: float, theta: float):
     _require_one_photon_per_mode(state)
     extended = state.extended((p, "H") for p in _PATH_SPATIALS)
     register = extended.register
-    splitters = [
-        pbs(register, spatial, path, spatial)
-        for spatial, path in zip(SCHEME_SPATIALS, _PATH_SPATIALS)
-    ]
+    splitters = _taps(register)
     extended = apply_circuit(extended, splitters)
     weights = [0] * len(register)
     for path, w in zip(_PATH_SPATIALS, GHZ_KERR_THETA_WEIGHTS):

@@ -476,10 +476,24 @@ def test_probe_overflow_names_alpha(out_dir, capsys, args):
     assert not any(out_dir.iterdir())
 
 
-def test_sampled_run_reads_no_density_at_a_huge_probe(out_dir):
-    # the exact run overflows a homodyne density at alpha=1e200; draws read none
-    assert run_cli("run", "ghz-circuit", "alpha=1e200", "samples=20", "seed=1") == 0
-    _, rows = read_csv(out_dir / "ghz-circuit.csv")
-    assert sum(float(row[4]) for row in rows) == pytest.approx(1.0)
-    visited = [float(row[5]) for row in rows if float(row[4]) > 0]
-    assert visited and all(abs(fidelity - 1.0) < 1e-12 for fidelity in visited)
+@pytest.mark.parametrize("alpha", ["1e200", "4294967296"])
+def test_sampled_run_rejects_a_probe_beyond_double_resolution(
+    out_dir, capsys, tmp_path_factory, alpha
+):
+    # at 2*alpha >= 2**33 a unit-variance draw is below one ulp of its peak
+    params = (f"alpha={alpha}", "samples=10", "seed=1")
+    args = ("ghz-circuit", *params)
+    assert run_cli("run", *args) == 2
+    err = capsys.readouterr().err
+    assert "parameter 'alpha'" in err and "Traceback" not in err
+    assert not any(out_dir.iterdir())
+    config = tmp_path_factory.mktemp("config") / "job.cfg"
+    config.write_text("experiment = ghz-circuit\n" + "".join(f"{p.replace('=', ' = ')}\n" for p in params))
+    assert run_cli("validate", str(config)) == 2
+    assert "parameter 'alpha'" in capsys.readouterr().out
+
+
+def test_sampled_run_keeps_its_noise_just_below_the_bound(out_dir):
+    # ulp(2*alpha) is 2**-20 here; the rule leaves exact runs to the overflow check
+    assert run_cli("run", "ghz-circuit", "alpha=4294967295", "samples=10", "seed=1") == 0
+    assert run_cli("run", "ghz-circuit", "alpha=1e200") == 3

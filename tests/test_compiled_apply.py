@@ -1,0 +1,279 @@
+"""``ModeTransform.apply`` replays programs with the arithmetic of the path they replaced.
+
+``expansion_path_apply`` below is ``apply`` as it was before programs: every
+term is re-expanded through one dict per moved mode.  A replay must give the
+same output keys in the same order and the same amplitude bits, whether the
+transform is fresh or has already compiled the occupations it meets.
+"""
+
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from focksim import (
+    CapacityError,
+    FockKet,
+    GhzReadout,
+    ModeRegister,
+    ModeTransform,
+    build_psi_theta,
+    schemes,
+)
+from focksim.elements import _expansion, bs_5050, bs_unbalanced, polarization_rotation
+from focksim.fock import _SQRT_FACT, MAX_OCCUPANCY, _sqrt_factorials, expand_bilinear_power
+from focksim.pdc import singlet_form
+from focksim.schemes import SCHEME_SPATIALS
+
+
+def _distribute_mode(partial, expansion):
+    grown = {}
+    for powers, coeff in partial.items():
+        for assignment, weight in expansion:
+            lifted = list(powers)
+            for j, k in assignment:
+                lifted[j] += k
+            key = tuple(lifted)
+            grown[key] = grown.get(key, 0.0) + coeff * weight
+    return grown
+
+
+def expansion_path_apply(transform: ModeTransform, ket: FockKet) -> FockKet:
+    """The expansion path, with an expansion table of its own."""
+    out = {}
+    expansions = {}
+    checked = False
+    for occ, amp in ket.items():
+        total = sum(occ)
+        if total > MAX_OCCUPANCY:
+            checked = True
+            sqrt_fact = _sqrt_factorials(total)
+        else:
+            sqrt_fact = _SQRT_FACT
+        prefactor = amp
+        for m in occ:
+            if m > 1:
+                prefactor /= _SQRT_FACT[m]
+        start = list(occ)
+        for i in transform._moved:
+            start[i] = 0
+        partial = {tuple(start): prefactor}
+        for i in transform._moved:
+            m = occ[i]
+            if m == 0:
+                continue
+            expansion = expansions.get((i, m))
+            if expansion is None:
+                expansion = expansions[(i, m)] = _expansion(transform._rows[i], m)
+            partial = _distribute_mode(partial, expansion)
+        for powers, coeff in partial.items():
+            scale = 1.0
+            for p in powers:
+                if p > 1:
+                    scale *= sqrt_fact[p]
+            value = coeff * scale if scale != 1.0 else coeff
+            out[powers] = out.get(powers, 0.0) + value
+    if checked:
+        return FockKet(transform.register, out)
+    return FockKet._from_valid(transform.register, out)
+
+
+def bits(ket: FockKet) -> list[tuple[tuple[int, ...], str, bytes]]:
+    """Every term in order, with its amplitude's type and packed bits."""
+    return [
+        (occ, type(amp).__name__, struct.pack("<dd", amp.real, amp.imag))
+        for occ, amp in ket.items()
+    ]
+
+
+def haar_unitary(seed: int, n: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+PAIR = ModeRegister.polarized("a", "b")
+TRIPLE = ModeRegister.polarized("a", "b", "c")
+LINES = {n: ModeRegister((f"m{i}", "H") for i in range(n)) for n in range(2, 6)}
+
+# real and imaginary parts: signed zeros are common, so negative-zero
+# products reach the sums
+parts = st.one_of(
+    st.sampled_from((0.0, -0.0)),
+    st.floats(0.05, 1.0).flatmap(lambda x: st.sampled_from((x, -x))),
+)
+
+
+@st.composite
+def kets(draw, register: ModeRegister, max_photons: int = 6):
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        photons = draw(st.integers(0, max_photons))
+        occ = [0] * len(register)
+        for _ in range(photons):
+            occ[draw(st.integers(0, len(register) - 1))] += 1
+        re, im = draw(parts), draw(parts)
+        if re == 0.0 and im == 0.0:
+            re = 0.5
+        terms[tuple(occ)] = complex(re, im)
+    return FockKet(register, terms)
+
+
+@st.composite
+def transform_and_kets(draw):
+    kind = draw(st.sampled_from(("haar", "interference", "rotation", "splitter")))
+    if kind == "haar":
+        n = draw(st.integers(2, 5))
+        register = LINES[n]
+        seed = draw(st.integers(0, 2**32 - 1))
+        make = lambda: ModeTransform(register, haar_unitary(seed, n))  # noqa: E731
+    elif kind == "interference":
+        register = TRIPLE
+        pair = draw(st.sampled_from((("a", "b"), ("b", "c"), ("c", "a"))))
+        make = lambda: bs_5050(register, *pair)  # noqa: E731
+    elif kind == "rotation":
+        register = PAIR
+        spatial = draw(st.sampled_from(("a", "b")))
+        special = st.sampled_from((0.0, math.pi / 2, math.pi))
+        theta = draw(st.one_of(special, st.floats(-math.pi, math.pi)))
+        make = lambda: polarization_rotation(register, spatial, theta)  # noqa: E731
+    else:
+        register = TRIPLE
+        transmission = draw(st.floats(0.01, 0.99))
+        make = lambda: bs_unbalanced(register, "a", "b", "c", transmission)  # noqa: E731
+    return make, draw(kets(register)), draw(kets(register))
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=transform_and_kets())
+def test_replay_matches_the_expansion_path_cold_and_warm(case):
+    make, ket, other = case
+    expected = bits(expansion_path_apply(make(), ket))
+    transform = make()
+    assert bits(transform.apply(ket)) == expected  # compiles every occupation
+    assert bits(transform.apply(ket)) == expected  # replays every occupation
+    # warmed by another ket first: some programs are found, others compiled
+    shared = make()
+    assert bits(shared.apply(other)) == bits(expansion_path_apply(make(), other))
+    assert bits(shared.apply(ket)) == expected
+
+
+def test_a_program_is_compiled_once_per_occupation():
+    transform = bs_5050(TRIPLE, "a", "b")
+    ket = FockKet(TRIPLE, {(1, 0, 1, 0, 0, 0): 0.6, (2, 0, 0, 0, 1, 0): 0.8})
+    transform.apply(ket)
+    programs = dict(transform._programs)
+    assert set(programs) == {occ for occ, _ in ket.items()}
+    transform.apply(FockKet(TRIPLE, {(1, 0, 1, 0, 0, 0): 1.0}))
+    assert all(transform._programs[occ] is program for occ, program in programs.items())
+
+
+def test_replay_reuses_the_program_key_tuples():
+    transform = bs_5050(TRIPLE, "a", "b")
+    ket = FockKet(TRIPLE, {(2, 0, 0, 0, 0, 0): 1.0})
+    first = transform.apply(ket)
+    _, _, finals, _ = transform._programs[(2, 0, 0, 0, 0, 0)]
+    assert [powers for powers, _ in finals] == [occ for occ, _ in first.items()]
+    for (powers, _), (occ, _) in zip(finals, transform.apply(ket).items()):
+        assert occ is powers
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(5, 0, 5, 0, 6, 0): 1.0},
+        {(5, 1, 4, 0, 0, 6): complex(0.6, -0.0), (1, 0, 1, 0, 0, 0): complex(-0.0, 0.8)},
+        {(7, 0, 2, 0, 0, 9): -0.0 + 1j, (0, 0, 0, 0, 0, 0): 0.5},
+    ],
+)
+def test_terms_past_the_cap_take_the_checked_path(terms):
+    # more than MAX_OCCUPANCY photons in a term, none of them above the cap
+    # in any one output mode: the checked constructor accepts the result
+    ket = FockKet(TRIPLE, terms)
+    transform = bs_5050(TRIPLE, "a", "b")
+    expected = bits(expansion_path_apply(transform, ket))
+    assert bits(transform.apply(ket)) == expected
+    assert bits(transform.apply(ket)) == expected
+    over = [transform._programs[occ][3] for occ in terms]
+    assert over == [sum(occ) > MAX_OCCUPANCY for occ in terms]
+
+
+@pytest.mark.parametrize("occ", [(8, 0, 8, 0, 0, 0), (9, 0, 9, 0, 0, 0), (0, 8, 0, 8, 1, 0)])
+def test_output_past_the_cap_raises_cold_and_warm(occ):
+    ket = FockKet.basis(TRIPLE, occ)
+    with pytest.raises(CapacityError):
+        expansion_path_apply(bs_5050(TRIPLE, "a", "b"), ket)
+    transform = bs_5050(TRIPLE, "a", "b")
+    for _ in range(2):
+        with pytest.raises(CapacityError):
+            transform.apply(ket)
+
+
+PIPE = ModeRegister.polarized("a", "b", "c0", "c1", "c2", "c3", "d0", "d1", "d2", "d3")
+
+
+def expansion_path_psi_theta(theta: float) -> tuple[FockKet, float]:
+    """The preparation on freshly built elements, each applied by the expansion path."""
+    ket = expand_bilinear_power(singlet_form(PIPE), 3, PIPE).normalized()
+    for element in (
+        polarization_rotation(PIPE, "b", theta),
+        bs_unbalanced(PIPE, "a", "c1", "c0", 2.0 / 3.0),
+        bs_unbalanced(PIPE, "b", "d1", "d0", 2.0 / 3.0),
+        bs_unbalanced(PIPE, "c0", "c3", "c2", 0.5),
+        bs_unbalanced(PIPE, "d0", "d3", "d2", 0.5),
+    ):
+        ket = expansion_path_apply(element, ket)
+    projected, probability = ket.project({s: 1 for s in SCHEME_SPATIALS})
+    return projected.restricted(SCHEME_SPATIALS), probability
+
+
+def test_psi_theta_builds_its_splitters_once(monkeypatch):
+    schemes._preparation.cache_clear()
+    built = []
+    init = ModeTransform.__init__
+
+    def counting_init(self, register, matrix):
+        built.append(register)
+        init(self, register, matrix)
+
+    monkeypatch.setattr(ModeTransform, "__init__", counting_init)
+    per_call = []
+    for theta in (0.3, 0.3, 1.1, math.pi / 2):
+        before = len(built)
+        build_psi_theta(theta)
+        per_call.append(len(built) - before)
+    # four splitters and the rotation, then only the rotation
+    assert per_call == [5, 1, 1, 1]
+    assert built == [PIPE] * 8
+
+
+def test_ghz_readouts_build_their_taps_once(monkeypatch):
+    state = build_psi_theta(math.pi / 2).state
+    schemes._taps.cache_clear()
+    built = []
+    init = ModeTransform.__init__
+
+    def counting_init(self, register, matrix):
+        built.append(len(register))
+        init(self, register, matrix)
+
+    monkeypatch.setattr(ModeTransform, "__init__", counting_init)
+    GhzReadout(state, 20.0, 0.2)
+    taps = list(built)
+    GhzReadout(state, 40.0, 0.1)
+    # six taps on the path-extended register, then none
+    assert taps.count(len(state.register) + 6) == 6
+    assert built[len(taps):].count(len(state.register) + 6) == 0
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.1, math.pi / 2])
+def test_psi_theta_on_shared_splitters_matches_the_expansion_path(theta):
+    build_psi_theta(0.7)  # the shared splitters hold programs before the check
+    result = build_psi_theta(theta)
+    state, probability = expansion_path_psi_theta(theta)
+    assert bits(result.state) == bits(state)
+    assert struct.pack("<d", result.postselect_probability) == struct.pack("<d", probability)

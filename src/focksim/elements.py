@@ -11,23 +11,32 @@ once, when the transform is constructed.  ``apply`` runs one program per
 input occupation, compiled on the first ket that holds it and replayed for
 every later one: the ``sqrt(m!)`` divisors of the amplitude, one level of
 ``(dst, src, weight)`` multiply-adds per moved mode (modes the transform
-leaves in place are not expanded), and each output occupation with its
-``sqrt(k!)`` scale.  Replaying does the multinomial expansion's arithmetic
-in its order, but builds no keys: the output occupations are stored in the
-program.  The rows keep the matrix's numpy scalars: the expansion weights
-are computed from them, and converting the rows to Python ``complex`` moves
-output bits.  Each finished weight is stored as a Python ``complex``; that
-conversion is exact, and CPython computes a complex product and sum with
-the same formulas as numpy, so ``apply`` runs on Python scalars alone and
-its results keep their bits.
+leaves in place are not expanded), and the id of each output occupation
+with its ``sqrt(k!)`` scale.  A transform numbers output occupations as its
+programs first produce them, and one replay loop sums every term into a
+dict keyed by those ids, which keeps each id where it first appears: every
+output amplitude is the multinomial expansion's sum, in its order, and no
+occupation is hashed per term.  The rows keep the matrix's numpy scalars:
+the expansion weights are computed from them, and converting the rows to
+Python ``complex`` moves output bits.  Each finished weight is stored as a
+Python ``complex``; that conversion is exact, and CPython computes a
+complex product and sum with the same formulas as numpy, so ``apply`` runs
+on Python scalars alone and its results keep their bits.
+
+:func:`apply_circuit` hands each element's surviving terms to the next and
+builds only its result as a ket (``apply`` is a circuit of one element).
+With ``postselect`` it also projects that result, deciding once per output
+id and pattern whether a term is kept, by the rule :meth:`FockKet.project`
+uses, so it gives the bits of a ``project`` after the circuit.
 
 A transform may be shared for the life of a process (the symmetry
 detector keeps one splitter per register, the preparation pipeline its
 four splitters, the GHZ readout its six taps).  Filling its programs is
 idempotent: a program depends only on the rows and the occupation, never
-on the ket that first needs it, so a shared transform gives the same bits
-as a fresh one.  Its memory grows with the distinct occupations it has
-seen, and no further.
+on the ket that first needs it, and ids are assigned under a lock while a
+program compiles, so a shared transform gives the same bits as a fresh
+one, from any thread.  Its memory grows with the distinct occupations it
+has seen, and no further.
 
 Photon number is conserved, so the output occupations of a ket whose terms
 each hold at most ``MAX_OCCUPANCY`` photons are valid by construction and
@@ -38,11 +47,13 @@ the result is built without checking or converting them (see
 from __future__ import annotations
 
 import math
-from typing import Iterable
+import threading
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .fock import _SQRT_FACT, MAX_OCCUPANCY, FockKet, ModeRegister, _sqrt_factorials
+from .fock import _SQRT_FACT, MAX_OCCUPANCY, PRUNE_THRESHOLD, FockKet, ModeRegister
+from .fock import _check_occupation, _Selection, _sqrt_factorials
 
 UNITARITY_TOLERANCE = 1e-12
 
@@ -50,15 +61,18 @@ UNITARITY_TOLERANCE = 1e-12
 # row's output modes; an assignment lists (output mode, photons) pairs
 _Expansion = list[tuple[tuple[tuple[int, int], ...], complex]]
 # what apply does for one input occupation: the amplitude's divisors; per
-# moved mode, (size, (dst, src, weight) ops); the (output occupation, scale)
-# of each final term; and whether the term holds more than MAX_OCCUPANCY photons
+# moved mode, (size, (dst, src, weight) ops); the (output id, scale) of each
+# final term; and whether the term holds more than MAX_OCCUPANCY photons
 _Program = tuple[tuple, tuple, tuple, bool]
 
 
 class ModeTransform:
     """Unitary substitution rule on the creation operators of a register."""
 
-    __slots__ = ("_register", "_matrix", "_rows", "_moved", "_expansions", "_programs")
+    __slots__ = (
+        "_register", "_matrix", "_rows", "_moved", "_expansions",
+        "_programs", "_ids", "_occupations", "_compiling", "_selections",
+    )
 
     def __init__(self, register: ModeRegister, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=complex)
@@ -80,8 +94,15 @@ class ModeTransform:
         self._moved = tuple(i for i, row in enumerate(self._rows) if row != ((i, 1.0),))
         # (input mode, occupancy) -> its multinomial expansion, filled by _compile
         self._expansions: dict[tuple[int, int], _Expansion] = {}
-        # input occupation -> its compiled program, filled by apply
+        # input occupation -> its compiled program, filled by _replay
         self._programs: dict[tuple[int, ...], _Program] = {}
+        # output occupation <-> id, numbered as programs first produce them
+        self._ids: dict[tuple[int, ...], int] = {}
+        self._occupations: list[tuple[int, ...]] = []
+        # held while a program compiles, so threads assign ids one at a time
+        self._compiling = threading.Lock()
+        # compiled post-selection pattern -> output id -> whether it is kept
+        self._selections: dict[tuple, dict[int, bool]] = {}
 
     @property
     def register(self) -> ModeRegister:
@@ -99,15 +120,26 @@ class ModeTransform:
 
     def apply(self, ket: FockKet) -> FockKet:
         """Substitute and re-expand every creation operator of the ket."""
-        if ket.register != self._register:
-            raise ValueError("ket register does not match transform register")
-        out: dict[tuple[int, ...], complex] = {}
+        return apply_circuit(ket, (self,))
+
+    def _replay(
+        self, terms: Iterable[tuple[tuple[int, ...], complex]]
+    ) -> tuple[dict[int, complex], bool]:
+        """Every term's program, summed into one dict keyed by output id.
+
+        The dict keeps each id where it first appears, so every output
+        amplitude is the same sum, in the same order, as in a dict keyed by
+        the output occupations.  The flag says whether a term held more than
+        ``MAX_OCCUPANCY`` photons.
+        """
+        out: dict[int, complex] = {}
         programs = self._programs
         checked = False
-        for occ, amp in ket.items():
+        for occ, amp in terms:
             program = programs.get(occ)
             if program is None:
-                program = programs[occ] = self._compile(occ)
+                with self._compiling:
+                    program = programs[occ] = self._compile(occ)
             divisors, levels, finals, over = program
             checked = checked or over
             for d in divisors:
@@ -118,11 +150,50 @@ class ModeTransform:
                 for dst, src, weight in ops:
                     grown[dst] = grown[dst] + values[src] * weight
                 values = grown
-            for (powers, scale), coeff in zip(finals, values):
-                out[powers] = out.get(powers, 0.0) + (coeff * scale if scale != 1.0 else coeff)
+            for (i, scale), coeff in zip(finals, values):
+                out[i] = out.get(i, 0.0) + (coeff * scale if scale != 1.0 else coeff)
+        return out, checked
+
+    def _outputs(
+        self, out: dict[int, complex], checked: bool
+    ) -> list[tuple[tuple[int, ...], complex]]:
+        """The replayed terms that survive pruning, as ``(occupation, amplitude)`` pairs.
+
+        Past the photon cap every occupation is checked, in order, as the
+        public ``FockKet`` constructor checks it.
+        """
+        occupations = self._occupations
+        terms = [(occupations[i], amp) for i, amp in out.items() if not abs(amp) < PRUNE_THRESHOLD]
         if checked:
-            return FockKet(self._register, out)
-        return FockKet._from_valid(self._register, out)
+            for occ, _ in terms:
+                _check_occupation(self._register, occ)
+        return terms
+
+    def _selected(
+        self, out: dict[int, complex], checked: bool, selection: _Selection
+    ) -> tuple[FockKet | None, float]:
+        """What ``project`` gives on the ket of :meth:`_outputs`, without building that ket.
+
+        Whether an output is kept is decided once per output id and pattern
+        and remembered; threads that race to decide it write the same value.
+        """
+        if checked:
+            self._outputs(out, checked)  # raises where building the ket would
+        occupations = self._occupations
+        keeps = self._selections.setdefault(selection.key, {})
+        squares = []
+        kept = {}
+        for i, amp in out.items():
+            magnitude = abs(amp)
+            if magnitude < PRUNE_THRESHOLD:
+                continue
+            squares.append(magnitude**2)
+            keep = keeps.get(i)
+            if keep is None:
+                keep = keeps[i] = selection.keeps(occupations[i])
+            if keep:
+                kept[occupations[i]] = amp
+        return selection.projected(sum(squares), kept)
 
     def _compile(self, occ: tuple[int, ...]) -> _Program:
         """The steps ``apply`` takes for one input occupation, in the order it takes them."""
@@ -166,7 +237,11 @@ class ModeTransform:
             for p in powers:
                 if p > 1:
                     scale *= sqrt_fact[p]
-            finals.append((powers, scale))
+            i = self._ids.get(powers)
+            if i is None:
+                i = self._ids[powers] = len(self._occupations)
+                self._occupations.append(powers)
+            finals.append((i, scale))
         return divisors, tuple(levels), tuple(finals), total > MAX_OCCUPANCY
 
     def __repr__(self) -> str:
@@ -369,7 +444,28 @@ def _keyword(token: str, name: str) -> float:
     return float(value)
 
 
-def apply_circuit(ket: FockKet, elements: Iterable[ModeTransform]) -> FockKet:
+def apply_circuit(
+    ket: FockKet,
+    elements: Iterable[ModeTransform],
+    postselect: Mapping[str, int] | None = None,
+) -> FockKet | tuple[FockKet | None, float]:
+    """Apply the elements in order; with ``postselect``, project onto that pattern too.
+
+    Each element's surviving terms feed the next one directly, and only the
+    result is built as a ket, with the bits of applying the elements one by
+    one.  With ``postselect`` the result is ``(projected, probability)``,
+    bit for bit ``apply_circuit(ket, elements).project(postselect)``.
+    """
+    register = ket.register
+    last = None
     for element in elements:
-        ket = element.apply(ket)
-    return ket
+        if element.register != register:
+            raise ValueError("ket register does not match transform register")
+        terms = ket.items() if last is None else last._outputs(out, checked)
+        out, checked = element._replay(terms)
+        last = element
+    if last is None:
+        return ket if postselect is None else ket.project(postselect)
+    if postselect is None:
+        return FockKet._from_valid(register, last._outputs(out, checked))
+    return last._selected(out, checked, _Selection(register, postselect))

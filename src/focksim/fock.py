@@ -133,9 +133,13 @@ def _check_occupation(register: ModeRegister, occ: tuple[int, ...]) -> tuple[int
     return occ
 
 
-def _pruned(terms: Mapping) -> dict:
-    """The terms without those below :data:`PRUNE_THRESHOLD`; a NaN amplitude is kept."""
-    return {key: amp for key, amp in terms.items() if not abs(amp) < PRUNE_THRESHOLD}
+def _pruned(terms: Mapping | Iterable[tuple]) -> dict:
+    """The terms without those below :data:`PRUNE_THRESHOLD`; a NaN amplitude is kept.
+
+    ``terms`` is a dict or an iterable of ``(key, amplitude)`` pairs.
+    """
+    pairs = terms.items() if isinstance(terms, dict) else terms
+    return {key: amp for key, amp in pairs if not abs(amp) < PRUNE_THRESHOLD}
 
 
 def _significant(terms: Mapping) -> dict:
@@ -145,6 +149,66 @@ def _significant(terms: Mapping) -> dict:
     otherwise carry numpy arithmetic into the next operation.
     """
     return _pruned({key: complex(amp) for key, amp in terms.items()})
+
+
+class _Selection:
+    """An occupancy pattern (see :meth:`FockKet.project`) compiled for one register.
+
+    :meth:`FockKet.project` and the post-selecting
+    :func:`focksim.elements.apply_circuit` both test terms with
+    :meth:`keeps` and finish with :meth:`projected`, so the two give the
+    same bits.  ``key`` is the compiled pattern (mode indices and counts),
+    by which a caller can remember which terms the pattern keeps.
+    """
+
+    __slots__ = ("key", "_register", "_modes_of", "_wanted", "_groups")
+
+    def __init__(self, register: ModeRegister, pattern: Mapping[str, int]):
+        # exact counts: one getter over the constrained modes, compared with
+        # the wanted counts; a spatial mode with a single polarization is one
+        modes: list[int] = []
+        counts: list[int] = []
+        groups: list[tuple[tuple[int, ...], int]] = []
+        for key, count in pattern.items():
+            if key in register._index:
+                indices: tuple[int, ...] = (register.index(key),)
+            else:
+                indices = register.spatial_indices(key)
+            if len(indices) == 1:
+                modes += indices
+                counts.append(int(count))
+            else:
+                groups.append((indices, int(count)))
+        self.key = (tuple(modes), tuple(counts), tuple(groups))
+        self._register = register
+        self._modes_of = itemgetter(*modes) if modes else None
+        self._wanted = counts[0] if len(modes) == 1 else tuple(counts)
+        self._groups = tuple((itemgetter(*indices), count) for indices, count in groups)
+
+    def keeps(self, occ: tuple[int, ...]) -> bool:
+        if self._modes_of is not None and self._modes_of(occ) != self._wanted:
+            return False
+        return all(sum(total_of(occ)) == count for total_of, count in self._groups)
+
+    def projected(
+        self, total: float, kept: dict[tuple[int, ...], complex]
+    ) -> tuple["FockKet | None", float]:
+        """The kept terms renormalized, and their weight over ``total``.
+
+        ``total`` is the norm squared of the ket the terms were kept from,
+        summed as :attr:`FockKet.norm_squared` sums it: builtin ``sum`` over
+        the terms in order (CPython 3.12 compensates that sum, so a plain
+        running total would not match it).  A zero total or weight gives
+        ``(None, 0.0)``.
+        """
+        if total == 0.0:
+            return None, 0.0
+        weight = sum(abs(a) ** 2 for a in kept.values())
+        if weight == 0.0:
+            return None, 0.0
+        scale = 1.0 / math.sqrt(weight)
+        projected = FockKet._from_valid(self._register, {o: a * scale for o, a in kept.items()})
+        return projected, weight / total
 
 
 class FockKet:
@@ -167,15 +231,19 @@ class FockKet:
 
     @classmethod
     def _from_valid(
-        cls, register: ModeRegister, terms: Mapping[tuple[int, ...], complex]
+        cls,
+        register: ModeRegister,
+        terms: Mapping[tuple[int, ...], complex] | Iterable[tuple[tuple[int, ...], complex]],
     ) -> "FockKet":
         """Ket from terms whose occupations are valid by construction.
 
-        Every key must be a tuple of ints of the register's length, each in
-        ``0..MAX_OCCUPANCY``, as the keys of any ket on that register are,
-        and every amplitude a Python ``complex``, as the products and sums
-        of any ket's amplitudes are; nothing is checked or converted.
-        Amplitudes are pruned as in the public constructor.
+        The terms are a dict or ``(occupation, amplitude)`` pairs with
+        distinct occupations.  Every occupation must be a tuple of ints of
+        the register's length, each in ``0..MAX_OCCUPANCY``, as the keys of
+        any ket on that register are, and every amplitude a Python
+        ``complex``, as the products and sums of any ket's amplitudes are;
+        nothing is checked or converted.  Amplitudes are pruned as in the
+        public constructor.
         """
         ket = cls.__new__(cls)
         ket._register = register
@@ -330,43 +398,9 @@ class FockKet:
         Born probability of the pattern; a zero-probability pattern yields
         ``(None, 0.0)`` rather than an error.
         """
-        # exact counts: one getter over the constrained modes, compared with
-        # the wanted counts; a spatial mode with a single polarization is one
-        modes: list[int] = []
-        counts: list[int] = []
-        groups: list[tuple[itemgetter, int]] = []
-        for key, count in pattern.items():
-            if key in self._register._index:
-                indices: tuple[int, ...] = (self._register.index(key),)
-            else:
-                indices = self._register.spatial_indices(key)
-            if len(indices) == 1:
-                modes += indices
-                counts.append(int(count))
-            else:
-                groups.append((itemgetter(*indices), int(count)))
-        modes_of = itemgetter(*modes) if modes else None
-        wanted = counts[0] if len(modes) == 1 else tuple(counts)
-
-        kept = {}
-        for occ, amp in self._terms.items():
-            if modes_of is not None and modes_of(occ) != wanted:
-                continue
-            for total_of, count in groups:
-                if sum(total_of(occ)) != count:
-                    break
-            else:
-                kept[occ] = amp
-        total = self.norm_squared
-        if total == 0.0:
-            return None, 0.0
-        weight = sum(abs(a) ** 2 for a in kept.values())
-        probability = weight / total
-        if weight == 0.0:
-            return None, 0.0
-        scale = 1.0 / math.sqrt(weight)
-        projected = FockKet._from_valid(self._register, {o: a * scale for o, a in kept.items()})
-        return projected, probability
+        selection = _Selection(self._register, pattern)
+        kept = {occ: amp for occ, amp in self._terms.items() if selection.keeps(occ)}
+        return selection.projected(self.norm_squared, kept)
 
     # -- register reshaping -------------------------------------------
 

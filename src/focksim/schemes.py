@@ -122,9 +122,10 @@ def build_psi_theta(theta: float) -> SchemeResult:
     each of the six output spatial modes.
     """
     source, splitters = _preparation()
-    ket = polarization_rotation(source.register, "b", theta).apply(source)
-    ket = apply_circuit(ket, splitters)
-    projected, probability = ket.project({s: 1 for s in SCHEME_SPATIALS})
+    rotation = polarization_rotation(source.register, "b", theta)
+    projected, probability = apply_circuit(
+        source, (rotation, *splitters), postselect={s: 1 for s in SCHEME_SPATIALS}
+    )
     if projected is None:
         raise ValueError("post-selection pattern has zero probability")
     return SchemeResult(

@@ -3,11 +3,18 @@
 ``expansion_path_apply`` below is ``apply`` as it was before programs: every
 term is re-expanded through one dict per moved mode.  A replay must give the
 same output keys in the same order and the same amplitude bits, whether the
-transform is fresh or has already compiled the occupations it meets.
+transform is fresh or has already compiled the occupations it meets.  So
+must ``apply_circuit``, which feeds each element's terms to the next and
+may post-select the result, against elements applied one by one and a
+``project`` after them.
 """
 
 import math
 import struct
+import sys
+import threading
+import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,6 +27,7 @@ from focksim import (
     GhzReadout,
     ModeRegister,
     ModeTransform,
+    apply_circuit,
     build_psi_theta,
     schemes,
 )
@@ -177,8 +185,9 @@ def test_replay_reuses_the_program_key_tuples():
     ket = FockKet(TRIPLE, {(2, 0, 0, 0, 0, 0): 1.0})
     first = transform.apply(ket)
     _, _, finals, _ = transform._programs[(2, 0, 0, 0, 0, 0)]
-    assert [powers for powers, _ in finals] == [occ for occ, _ in first.items()]
-    for (powers, _), (occ, _) in zip(finals, transform.apply(ket).items()):
+    keys = [transform._occupations[i] for i, _ in finals]
+    assert keys == [occ for occ, _ in first.items()]
+    for powers, (occ, _) in zip(keys, transform.apply(ket).items()):
         assert occ is powers
 
 
@@ -277,3 +286,127 @@ def test_psi_theta_on_shared_splitters_matches_the_expansion_path(theta):
     state, probability = expansion_path_psi_theta(theta)
     assert bits(result.state) == bits(state)
     assert struct.pack("<d", result.postselect_probability) == struct.pack("<d", probability)
+
+
+# angles whose sine or cosine is a rounding residue below the prune threshold
+PRUNING_ANGLES = (math.pi / 2, -math.pi / 2, math.pi, 3 * math.pi / 2)
+SPATIALS = ("a", "b", "c")
+
+
+@st.composite
+def circuits(draw):
+    """Factories of fresh elements on TRIPLE, one to four of them."""
+    makers = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("merge", "splitter", "rotation")))
+        spatials = draw(st.permutations(SPATIALS))
+        if kind == "merge":
+            makers.append(partial(bs_5050, TRIPLE, *spatials[:2]))
+        elif kind == "splitter":
+            transmission = draw(st.floats(0.01, 0.99))
+            makers.append(partial(bs_unbalanced, TRIPLE, *spatials, transmission))
+        else:
+            theta = draw(st.one_of(st.sampled_from(PRUNING_ANGLES), st.floats(-math.pi, math.pi)))
+            makers.append(partial(polarization_rotation, TRIPLE, spatials[0], theta))
+    return makers
+
+
+# counts by mode label or by spatial name; 18 is more photons than any term holds
+patterns = st.dictionaries(
+    st.sampled_from(TRIPLE.labels + TRIPLE.spatials),
+    st.one_of(st.integers(0, 3), st.just(18)),
+    max_size=3,
+)
+
+
+@st.composite
+def heavy_kets(draw):
+    """Kets as ``kets`` draws them, some with a term past MAX_OCCUPANCY photons."""
+    ket = draw(kets(TRIPLE, max_photons=4))
+    if draw(st.integers(0, 3)):
+        return ket
+    photons = draw(st.integers(MAX_OCCUPANCY + 1, MAX_OCCUPANCY + 2))
+    i, j = draw(st.permutations(range(len(TRIPLE))))[:2]
+    occ = [0] * len(TRIPLE)
+    occ[i] = draw(st.integers(photons - MAX_OCCUPANCY, MAX_OCCUPANCY))
+    occ[j] = photons - occ[i]
+    return ket + FockKet(TRIPLE, {tuple(occ): 0.25})
+
+
+def outcome(run) -> tuple:
+    """The result's terms in order with their bits, or the CapacityError raised."""
+    try:
+        result = run()
+    except CapacityError as exc:
+        return "CapacityError", str(exc)
+    if isinstance(result, FockKet):
+        return "ket", bits(result)
+    projected, probability = result
+    kept = None if projected is None else bits(projected)
+    return "projected", kept, struct.pack("<d", probability)
+
+
+@settings(deadline=None, max_examples=120)
+@given(makers=circuits(), ket=heavy_kets(), pattern=patterns, other=patterns)
+def test_postselected_circuit_matches_the_chained_expansion_path(makers, ket, pattern, other):
+    def chained() -> FockKet:
+        out = ket
+        for make in makers:
+            out = expansion_path_apply(make(), out)
+        return out
+
+    elements = [make() for make in makers]
+    assert outcome(lambda: apply_circuit(ket, elements)) == outcome(chained)
+    for select in (pattern, pattern, other):  # cold, warm, then a second pattern
+        expected = outcome(lambda: chained().project(select))
+        assert outcome(lambda: apply_circuit(ket, elements, postselect=select)) == expected
+
+
+class YieldingIds(dict):
+    """An id table that lets other threads run while it records an id.
+
+    CPython 3.11 does not switch threads inside the few bytecodes that
+    assign an id, so without this a missing lock would go unseen.
+    """
+
+    def __setitem__(self, key, value):
+        time.sleep(0)
+        super().__setitem__(key, value)
+
+
+def test_shared_preparation_gives_serial_bits_under_threads():
+    def snapshot(theta: float) -> tuple:
+        result = build_psi_theta(theta)
+        return bits(result.state), struct.pack("<d", result.postselect_probability)
+
+    # the first angles differ in which terms the rotation keeps, so the two
+    # threads start by compiling different occupations into the same splitters
+    parts = ((0.0, 0.3, 1.1, 2.0), (math.pi / 2, 0.7, 2.5, 3.0))
+    schemes._preparation.cache_clear()
+    serial = {theta: snapshot(theta) for part in parts for theta in part}
+    schemes._preparation.cache_clear()
+    _, splitters = schemes._preparation()  # both threads share these, cold
+    assert not any(splitter._programs for splitter in splitters)
+    for splitter in splitters:
+        splitter._ids = YieldingIds()
+    threaded = {}
+    start = threading.Barrier(2)
+
+    def sweep(part):
+        start.wait()
+        for theta in part:
+            threaded[theta] = snapshot(theta)
+
+    workers = [threading.Thread(target=sweep, args=(part,)) for part in parts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        schemes._preparation.cache_clear()  # later tests get splitters with plain tables
+    assert not any(worker.is_alive() for worker in workers)
+    assert threaded == serial

@@ -228,9 +228,14 @@ def run_psi_theta(typed: dict) -> list[tuple]:
 def _check_ghz(typed: dict) -> list[str]:
     errors = []
     try:
-        decode_table(typed["alpha"], typed["theta"])
+        table = decode_table(typed["alpha"], typed["theta"])
+        # the readout evaluates each peak's density at every other peak
+        peaks = [table.peak_center(interval) for interval in table.intervals]
+        (max(peaks) - min(peaks)) ** 2
     except ValueError as exc:
         errors.append(f"parameter 'theta' rejected: {exc}")
+    except OverflowError:
+        errors.append("parameter 'alpha' is too large: the squared peak spread overflows a double")
     if typed.get("seed", 0) >= 2**64:
         errors.append("parameter 'seed' must be an unsigned 64-bit integer")
     if typed["samples"] > 0 and typed.get("seed") is None:
@@ -276,6 +281,11 @@ def run_ghz_circuit(typed: dict) -> list[tuple]:
 def _check_pdc(typed: dict) -> list[str]:
     if ("tau" in typed) == ("k" in typed):
         return ["exactly one of 'tau' (squeezed expansion) or 'k' (mixture) is required"]
+    if "tau" in typed:
+        try:
+            squeezed_weights(typed["tau"], 0)
+        except OverflowError as exc:
+            return [f"parameter 'tau' rejected: {exc}"]
     return []
 
 

@@ -11,17 +11,22 @@ once, when the transform is constructed.  ``apply`` runs one program per
 input occupation, compiled on the first ket that holds it and replayed for
 every later one: the ``sqrt(m!)`` divisors of the amplitude, one level of
 ``(dst, src, weight)`` multiply-adds per moved mode (modes the transform
-leaves in place are not expanded), and the id of each output occupation
-with its ``sqrt(k!)`` scale.  A transform numbers output occupations as its
-programs first produce them, and one replay loop sums every term into a
-dict keyed by those ids, which keeps each id where it first appears: every
-output amplitude is the multinomial expansion's sum, in its order, and no
-occupation is hashed per term.  The rows keep the matrix's numpy scalars:
-the expansion weights are computed from them, and converting the rows to
-Python ``complex`` moves output bits.  Each finished weight is stored as a
-Python ``complex``; that conversion is exact, and CPython computes a
-complex product and sum with the same formulas as numpy, so ``apply`` runs
-on Python scalars alone and its results keep their bits.
+leaves in place are not expanded), and a tail naming each output
+occupation's id once, in slot order, with its ``sqrt(k!)`` scale.  A last
+level that writes each slot once is fused into the tail, which then
+multiplies by its weights and sums straight into the output: the skipped
+``0.0 +`` changes at most the sign of a zero part, which the first
+``0.0 +`` into the output clears.  A transform numbers output occupations
+as its programs first produce them, and one replay loop sums every term
+into a dict keyed by those ids, which keeps each id where it first
+appears: every output amplitude is the multinomial expansion's sum, in
+its order, and no occupation is hashed per term.  The rows keep the
+matrix's numpy scalars: the expansion weights are computed from them, and
+converting the rows to Python ``complex`` moves output bits.  Each
+finished weight is stored as a Python ``complex``; that conversion is
+exact, and CPython computes a complex product and sum with the same
+formulas as numpy, so ``apply`` runs on Python scalars alone and its
+results keep their bits.
 
 :func:`apply_circuit` hands each element's surviving terms to the next and
 builds only its result as a ket (``apply`` is a circuit of one element).
@@ -48,6 +53,7 @@ from __future__ import annotations
 
 import math
 import threading
+from itertools import compress
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -61,8 +67,9 @@ UNITARITY_TOLERANCE = 1e-12
 # row's output modes; an assignment lists (output mode, photons) pairs
 _Expansion = list[tuple[tuple[tuple[int, int], ...], complex]]
 # what apply does for one input occupation: the amplitude's divisors; per
-# moved mode, (size, (dst, src, weight) ops); the (output id, scale) of each
-# final term; and whether the term holds more than MAX_OCCUPANCY photons
+# moved mode but a fused last one, (size, (dst, src, weight) ops); the tail's
+# (src, weight or None, output id, scale or None) per output; and whether the
+# term holds more than MAX_OCCUPANCY photons
 _Program = tuple[tuple, tuple, tuple, bool]
 
 
@@ -99,10 +106,10 @@ class ModeTransform:
         # output occupation <-> id, numbered as programs first produce them
         self._ids: dict[tuple[int, ...], int] = {}
         self._occupations: list[tuple[int, ...]] = []
-        # held while a program compiles, so threads assign ids one at a time
+        # held while a program compiles or a selection memo grows, one thread at a time
         self._compiling = threading.Lock()
-        # compiled post-selection pattern -> output id -> whether it is kept
-        self._selections: dict[tuple, dict[int, bool]] = {}
+        # compiled post-selection pattern -> whether it keeps each output id
+        self._selections: dict[tuple, list[bool]] = {}
 
     @property
     def register(self) -> ModeRegister:
@@ -133,6 +140,7 @@ class ModeTransform:
         ``MAX_OCCUPANCY`` photons.
         """
         out: dict[int, complex] = {}
+        get = out.get
         programs = self._programs
         checked = False
         for occ, amp in terms:
@@ -140,7 +148,7 @@ class ModeTransform:
             if program is None:
                 with self._compiling:
                     program = programs[occ] = self._compile(occ)
-            divisors, levels, finals, over = program
+            divisors, levels, tail, over = program
             checked = checked or over
             for d in divisors:
                 amp /= d
@@ -150,8 +158,9 @@ class ModeTransform:
                 for dst, src, weight in ops:
                     grown[dst] = grown[dst] + values[src] * weight
                 values = grown
-            for (i, scale), coeff in zip(finals, values):
-                out[i] = out.get(i, 0.0) + (coeff * scale if scale != 1.0 else coeff)
+            for src, weight, i, scale in tail:
+                v = values[src] if weight is None else values[src] * weight
+                out[i] = get(i, 0.0) + (v if scale is None else v * scale)
         return out, checked
 
     def _outputs(
@@ -174,25 +183,22 @@ class ModeTransform:
     ) -> tuple[FockKet | None, float]:
         """What ``project`` gives on the ket of :meth:`_outputs`, without building that ket.
 
-        Whether an output is kept is decided once per output id and pattern
-        and remembered; threads that race to decide it write the same value.
+        Whether an output is kept is decided once per output id and pattern, for
+        every id numbered by then, in a list that grows under the compile lock.
         """
         if checked:
             self._outputs(out, checked)  # raises where building the ket would
         occupations = self._occupations
-        keeps = self._selections.setdefault(selection.key, {})
-        squares = []
-        kept = {}
-        for i, amp in out.items():
-            magnitude = abs(amp)
-            if magnitude < PRUNE_THRESHOLD:
-                continue
-            squares.append(magnitude**2)
-            keep = keeps.get(i)
-            if keep is None:
-                keep = keeps[i] = selection.keeps(occupations[i])
-            if keep:
-                kept[occupations[i]] = amp
+        keeps = self._selections.setdefault(selection.key, [])
+        if len(keeps) < len(occupations):
+            with self._compiling:
+                keeps.extend(map(selection.keeps, occupations[len(keeps) :]))
+        squares = [m**2 for m in map(abs, out.values()) if not m < PRUNE_THRESHOLD]
+        kept = {
+            occupations[i]: amp
+            for i, amp in compress(out.items(), map(keeps.__getitem__, out))
+            if not abs(amp) < PRUNE_THRESHOLD
+        }
         return selection.projected(sum(squares), kept)
 
     def _compile(self, occ: tuple[int, ...]) -> _Program:
@@ -231,8 +237,11 @@ class ModeTransform:
                     ops.append((slots.setdefault(tuple(lifted), len(slots)), src, weight))
             levels.append((len(slots), tuple(ops)))
             keys = list(slots)
-        finals = []
-        for powers in keys:
+        # a last level that writes each slot once (its ops then run in slot
+        # order) is fused into the tail; its ``0.0 +`` is skipped, as above
+        fused = levels.pop()[1] if levels and len(levels[-1][1]) == levels[-1][0] else None
+        tail = []
+        for slot, powers in enumerate(keys):
             scale = 1.0
             for p in powers:
                 if p > 1:
@@ -241,8 +250,9 @@ class ModeTransform:
             if i is None:
                 i = self._ids[powers] = len(self._occupations)
                 self._occupations.append(powers)
-            finals.append((i, scale))
-        return divisors, tuple(levels), tuple(finals), total > MAX_OCCUPANCY
+            src, weight = fused[slot][1:] if fused else (slot, None)
+            tail.append((src, weight, i, None if scale == 1.0 else scale))
+        return divisors, tuple(levels), tuple(tail), total > MAX_OCCUPANCY
 
     def __repr__(self) -> str:
         return f"ModeTransform(on {self._register!r})"

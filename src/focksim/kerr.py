@@ -123,12 +123,10 @@ class ProbeTaggedState:
 
     def _view(self) -> _ReadoutView:
         if self._view_cache is None:
-            weights: dict[int, float] = {}
-            for (_, idx), amp in self._terms.items():
-                weights[idx] = weights.get(idx, 0.0) + abs(amp) ** 2
+            weights = self.group_weights()
             centers = {idx: peak_center(self._alpha, self.phase_of(idx)) for idx in weights}
             rates = {idx: self._alpha * math.sin(self.phase_of(idx)) for idx in weights}
-            groups = tuple((idx, weights[idx], centers[idx]) for idx in sorted(weights))
+            groups = tuple((idx, weights[idx], centers[idx]) for idx in weights)
             self._view_cache = _ReadoutView(
                 norm_squared=sum(abs(a) ** 2 for a in self._terms.values()),
                 groups=groups,
@@ -152,8 +150,11 @@ class ProbeTaggedState:
         return index * self._theta / 2.0
 
     def group_weights(self) -> dict[int, float]:
-        """Total squared amplitude per phase index, in index order."""
-        return {idx: weight for idx, weight, _ in self.phase_groups()}
+        """Total squared amplitude per phase index, in index order; builds no readout view."""
+        weights: dict[int, float] = {}
+        for (_, idx), amp in self._terms.items():
+            weights[idx] = weights.get(idx, 0.0) + abs(amp) ** 2
+        return dict(sorted(weights.items()))
 
     def phase_groups(self) -> tuple[tuple[int, float, float], ...]:
         """``(phase index, total squared amplitude, peak centre)`` per group, in index order."""

@@ -432,15 +432,7 @@ def test_validate_lists_every_broken_bound_and_no_cross_rule(tmp_path, capsys):
     assert capsys.readouterr().out == "error: parameters 'm0' and 'n0' must not both be zero\n"
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ("pdc-weights", "tau=400"),
-        ("pdc-weights", "tau=800"),
-        ("homodyne-sweep", "m0=1", "n0=0", "alpha=1e307"),
-        ("ghz-circuit", "alpha=1e200"),
-    ],
-)
+@pytest.mark.parametrize("args", [("homodyne-sweep", "m0=1", "n0=0", "alpha=1e307")])
 def test_numeric_overflow_exits_3(out_dir, capsys, args):
     assert run_cli("run", *args) == 3
     err = capsys.readouterr().err
@@ -450,10 +442,15 @@ def test_numeric_overflow_exits_3(out_dir, capsys, args):
 
 
 @pytest.mark.parametrize("tau", ["400", "800"])
-def test_squeezing_overflow_names_tau(out_dir, capsys, tau):
-    assert run_cli("run", "pdc-weights", f"tau={tau}") == 3
-    assert f"tau={tau}" in capsys.readouterr().err
+def test_squeezing_overflow_names_tau(out_dir, capsys, tmp_path_factory, tau):
+    # cosh(tau)**2 overflows: run and validate both reject the config
+    assert run_cli("run", "pdc-weights", f"tau={tau}") == 2
+    assert capsys.readouterr().err.startswith(f"error: parameter 'tau' rejected: tau={tau}.0 is too large")
     assert not any(out_dir.iterdir())
+    config = tmp_path_factory.mktemp("config") / "job.cfg"
+    config.write_text(f"experiment = pdc-weights\ntau = {tau}\n")
+    assert run_cli("validate", str(config)) == 2
+    assert "parameter 'tau'" in capsys.readouterr().out
 
 
 def test_mixture_overflow_is_a_capacity_error(out_dir, capsys):
@@ -465,15 +462,35 @@ def test_mixture_overflow_is_a_capacity_error(out_dir, capsys):
     assert all(math.isfinite(float(cell)) for cell in rows[0])
 
 
-@pytest.mark.parametrize(
-    "args",
-    [("ghz-circuit", "alpha=1e200"), ("homodyne-sweep", "m0=1", "n0=0", "alpha=1e307")],
-)
+@pytest.mark.parametrize("args", [("homodyne-sweep", "m0=1", "n0=0", "alpha=1e307")])
 def test_probe_overflow_names_alpha(out_dir, capsys, args):
     assert run_cli("run", *args) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"numeric error: {args[-1].replace('e', 'e+')} is too large")
     assert not any(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("samples", ["0", "10"])
+def test_ghz_probe_whose_peak_spread_overflows_is_rejected(out_dir, capsys, tmp_path_factory, samples):
+    args = ("ghz-circuit", "alpha=1e200", f"samples={samples}", "seed=1")
+    assert run_cli("run", *args) == 2
+    err = capsys.readouterr().err
+    assert "parameter 'alpha' is too large" in err and "Traceback" not in err
+    assert not any(out_dir.iterdir())
+    config = tmp_path_factory.mktemp("config") / "job.cfg"
+    config.write_text("experiment = ghz-circuit\n" + "".join(f"{a.replace('=', ' = ')}\n" for a in args[1:]))
+    assert run_cli("validate", str(config)) == 2
+    assert "parameter 'alpha' is too large" in capsys.readouterr().out
+
+
+def test_ghz_peak_spread_rule_leaves_no_density_overflow(out_dir):
+    # at theta = 0.1 the outermost peaks' (x - peak)**2 first overflows a
+    # double within a few ulps of 1.0513581890216921e154: around it every
+    # run completes or is rejected up front, and none overflows
+    below = 1.0513581890216921e154
+    alphas = [below * (1.0 + step * 1e-13) for step in (-5, -1, 0, 1, 5)]
+    codes = [run_cli("run", "ghz-circuit", f"alpha={alpha!r}") for alpha in alphas]
+    assert codes[0] == 0 and codes[-1] == 2 and codes == sorted(codes)
 
 
 @pytest.mark.parametrize("alpha", ["1e200", "4294967296"])
@@ -494,6 +511,6 @@ def test_sampled_run_rejects_a_probe_beyond_double_resolution(
 
 
 def test_sampled_run_keeps_its_noise_just_below_the_bound(out_dir):
-    # ulp(2*alpha) is 2**-20 here; the rule leaves exact runs to the overflow check
+    # ulp(2*alpha) is 2**-20 here; the rule leaves exact runs to the peak-spread rule
     assert run_cli("run", "ghz-circuit", "alpha=4294967295", "samples=10", "seed=1") == 0
-    assert run_cli("run", "ghz-circuit", "alpha=1e200") == 3
+    assert run_cli("run", "ghz-circuit", "alpha=1e200") == 2

@@ -49,6 +49,23 @@ def _distribute_mode(partial, expansion):
     return grown
 
 
+def _expanded(transform: ModeTransform, occ, prefactor, expansions) -> dict:
+    """One input term's expansion, keyed by output occupation in first-appearance order."""
+    start = list(occ)
+    for i in transform._moved:
+        start[i] = 0
+    partial = {tuple(start): prefactor}
+    for i in transform._moved:
+        m = occ[i]
+        if m == 0:
+            continue
+        expansion = expansions.get((i, m))
+        if expansion is None:
+            expansion = expansions[(i, m)] = _expansion(transform._rows[i], m)
+        partial = _distribute_mode(partial, expansion)
+    return partial
+
+
 def expansion_path_apply(transform: ModeTransform, ket: FockKet) -> FockKet:
     """The expansion path, with an expansion table of its own."""
     out = {}
@@ -65,18 +82,7 @@ def expansion_path_apply(transform: ModeTransform, ket: FockKet) -> FockKet:
         for m in occ:
             if m > 1:
                 prefactor /= _SQRT_FACT[m]
-        start = list(occ)
-        for i in transform._moved:
-            start[i] = 0
-        partial = {tuple(start): prefactor}
-        for i in transform._moved:
-            m = occ[i]
-            if m == 0:
-                continue
-            expansion = expansions.get((i, m))
-            if expansion is None:
-                expansion = expansions[(i, m)] = _expansion(transform._rows[i], m)
-            partial = _distribute_mode(partial, expansion)
+        partial = _expanded(transform, occ, prefactor, expansions)
         for powers, coeff in partial.items():
             scale = 1.0
             for p in powers:
@@ -184,11 +190,50 @@ def test_replay_reuses_the_program_key_tuples():
     transform = bs_5050(TRIPLE, "a", "b")
     ket = FockKet(TRIPLE, {(2, 0, 0, 0, 0, 0): 1.0})
     first = transform.apply(ket)
-    _, _, finals, _ = transform._programs[(2, 0, 0, 0, 0, 0)]
-    keys = [transform._occupations[i] for i, _ in finals]
+    _, _, tail, _ = transform._programs[(2, 0, 0, 0, 0, 0)]
+    keys = [transform._occupations[i] for _, _, i, _ in tail]
     assert keys == [occ for occ, _ in first.items()]
     for powers, (occ, _) in zip(keys, transform.apply(ket).items()):
         assert occ is powers
+
+
+@settings(deadline=None, max_examples=100)
+@given(case=transform_and_kets())
+def test_a_program_tail_names_each_unfused_output_once_in_slot_order(case):
+    make, ket, _ = case
+    transform = make()
+    transform.apply(ket)
+    for occ, _ in ket.items():
+        _, levels, tail, _ = transform._programs[occ]
+        outputs = list(_expanded(transform, occ, 1.0, {}))
+        assert [transform._occupations[i] for _, _, i, _ in tail] == outputs
+        # a fused tail replaces the last level; an unfused one reads every slot once
+        fused = tail[0][1] is not None
+        assert all((weight is not None) == fused for _, weight, _, _ in tail)
+        assert len(levels) == sum(1 for i in transform._moved if occ[i]) - fused
+        if not fused:
+            assert [src for src, _, _, _ in tail] == list(range(len(tail)))
+        for _, _, _, scale in tail:
+            assert scale is None or scale != 1.0
+
+
+def test_a_colliding_last_level_stays_a_level():
+    transform = bs_5050(TRIPLE, "a", "b")
+    transform.apply(FockKet(TRIPLE, {(2, 0, 0, 0, 0, 0): 0.6, (1, 0, 1, 0, 0, 0): 0.8}))
+    # (a + b)^2 / 2 writes three slots once each; (a + b)(b - a) writes a.b twice
+    assert all(weight is not None for _, weight, _, _ in transform._programs[(2, 0, 0, 0, 0, 0)][2])
+    assert all(weight is None for _, weight, _, _ in transform._programs[(1, 0, 1, 0, 0, 0)][2])
+
+
+@pytest.mark.parametrize("amp", [1.0, complex(0.6, -0.0), complex(-0.0, -0.8), complex(-0.6, 0.8)])
+def test_an_exact_cancellation_keeps_its_bits_cold_and_warm(amp):
+    # (a + b)(b - a) / 2: the a.b coefficients cancel to an exact zero
+    ket = FockKet(TRIPLE, {(1, 0, 1, 0, 0, 0): amp})
+    expected = bits(expansion_path_apply(bs_5050(TRIPLE, "a", "b"), ket))
+    assert (1, 0, 1, 0, 0, 0) not in [occ for occ, _, _ in expected]
+    transform = bs_5050(TRIPLE, "a", "b")
+    assert bits(transform.apply(ket)) == expected
+    assert bits(transform.apply(ket)) == expected
 
 
 @pytest.mark.parametrize(
@@ -374,6 +419,19 @@ class YieldingIds(dict):
         super().__setitem__(key, value)
 
 
+class YieldingMemo(list):
+    """A selection memo that lets other threads run for a while before it grows."""
+
+    def extend(self, decisions):
+        time.sleep(0.01)
+        super().extend(decisions)
+
+
+class YieldingSelections(dict):
+    def setdefault(self, key, default):
+        return super().setdefault(key, YieldingMemo(default))
+
+
 def test_shared_preparation_gives_serial_bits_under_threads():
     def snapshot(theta: float) -> tuple:
         result = build_psi_theta(theta)
@@ -389,6 +447,7 @@ def test_shared_preparation_gives_serial_bits_under_threads():
     assert not any(splitter._programs for splitter in splitters)
     for splitter in splitters:
         splitter._ids = YieldingIds()
+        splitter._selections = YieldingSelections()
     threaded = {}
     start = threading.Barrier(2)
 

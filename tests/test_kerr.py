@@ -84,6 +84,14 @@ class TestAttachProbe:
         assert view.conditioning == conditioning
         assert view.centers == tuple(sorted(center for _, _, center in groups))
 
+    def test_group_weights_build_no_readout_view(self):
+        # a forced detection reads only these weights
+        tagged = tagged_detector_state(0.6, math.sqrt(0.14), alpha=500.0, theta=0.2)
+        weights = tagged.group_weights()
+        assert tagged._view_cache is None
+        assert weights == {idx: weight for idx, weight, _ in tagged.phase_groups()}
+        assert list(weights) == sorted(weights)
+
 
 class TestCrossKerr:
     def test_zero_weights_identity(self):

@@ -432,7 +432,14 @@ def test_validate_lists_every_broken_bound_and_no_cross_rule(tmp_path, capsys):
     assert capsys.readouterr().out == "error: parameters 'm0' and 'n0' must not both be zero\n"
 
 
-@pytest.mark.parametrize("args", [("homodyne-sweep", "m0=1", "n0=0", "alpha=1e307")])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("homodyne-sweep", "m0=0", "n0=1", "alpha=1e307"),
+        ("homodyne-sweep", "m0=2", "n0=1", "alpha=1e250"),
+        ("homodyne-sweep", "m0=1", "n0=0", "alpha=1e307"),
+    ],
+)
 def test_numeric_overflow_exits_3(out_dir, capsys, args):
     assert run_cli("run", *args) == 3
     err = capsys.readouterr().err
@@ -462,7 +469,10 @@ def test_mixture_overflow_is_a_capacity_error(out_dir, capsys):
     assert all(math.isfinite(float(cell)) for cell in rows[0])
 
 
-@pytest.mark.parametrize("args", [("homodyne-sweep", "m0=1", "n0=0", "alpha=1e307")])
+@pytest.mark.parametrize(
+    "args",
+    [("homodyne-sweep", "m0=1", "n0=1", "alpha=1e307"), ("homodyne-sweep", "m0=1", "n0=0", "alpha=1e307")],
+)
 def test_probe_overflow_names_alpha(out_dir, capsys, args):
     assert run_cli("run", *args) == 3
     err = capsys.readouterr().err

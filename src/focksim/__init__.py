@@ -32,7 +32,6 @@ from .elements import (
     bs_5050,
     bs_unbalanced,
     identity,
-    parse_circuit,
     pbs,
     polarization_rotation,
 )
@@ -43,8 +42,6 @@ from .fock import (
     ModeRegister,
     expand_bilinear_power,
     format_float,
-    read_state_text,
-    write_state_text,
 )
 from .kerr import (
     HomodyneOutcome,
@@ -64,7 +61,6 @@ from .kerr import (
 from .pdc import (
     SixPhotonMixtureWeights,
     SqueezedExpansion,
-    mixture_component_ket,
     psi_n,
     singlet_form,
     six_photon_mixture,

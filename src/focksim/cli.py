@@ -25,7 +25,9 @@ import numpy as np
 
 from . import __version__
 from .detector import (
+    MAX_CASCADE_STEPS,
     CoefficientPair,
+    a_matrix_power,
     cascade_closed_form,
     cascade_simulate,
     decide_and_repair,
@@ -195,6 +197,13 @@ def _cascade_rows(typed: dict, steps: int) -> list[tuple]:
     return rows
 
 
+def _check_cascade(typed: dict) -> list[str]:
+    if errors := _check_detector(typed):
+        return errors
+    a_matrix_power(typed["k"])  # a CapacityError past MAX_CASCADE_STEPS
+    return []
+
+
 def run_cascade(typed: dict) -> list[tuple]:
     return _cascade_rows(typed, typed["k"])
 
@@ -286,6 +295,8 @@ def _check_pdc(typed: dict) -> list[str]:
             squeezed_weights(typed["tau"], 0)
         except OverflowError as exc:
             return [f"parameter 'tau' rejected: {exc}"]
+    else:
+        six_photon_mixture(typed["k"])  # a CapacityError once the amplitudes are not finite
     return []
 
 
@@ -301,6 +312,22 @@ def run_pdc_weights(typed: dict) -> list[tuple]:
     return [(n, w, w * w) for n, w in enumerate(expansion.weights) if w != 0.0]
 
 
+def _sweep_grid(typed: dict, points: int) -> np.ndarray:
+    alpha = typed["alpha"]
+    return np.linspace(peak_center(alpha, typed["theta"]) - 8.0, 2.0 * alpha + 8.0, points)
+
+
+def _check_sweep(typed: dict) -> list[str]:
+    if errors := _check_detector(typed):
+        return errors
+    # (x - peak)**2 is largest at an end of the grid, and linspace puts the
+    # ends at the same two points for any size: the run's OverflowError, if any
+    tagged = detector_probe_state(twin_beam_state(_normalized_pair(typed)), typed["alpha"], typed["theta"])
+    for x in _sweep_grid(typed, 2).tolist():
+        homodyne_pdf(tagged, x)
+    return []
+
+
 def run_homodyne_sweep(typed: dict) -> list[tuple]:
     alpha, theta = typed["alpha"], typed["theta"]
     pair = _normalized_pair(typed)
@@ -311,8 +338,7 @@ def run_homodyne_sweep(typed: dict) -> list[tuple]:
     # the CSV numbers the high-x (symmetric) interval 0
     targets = {"symmetric": (0, tagged.branch(0)), "asymmetric": (1, asymmetric_target)}
     rows = []
-    for x in np.linspace(peak_center(alpha, theta) - 8.0, 2.0 * alpha + 8.0, typed["grid"]):
-        x = float(x)
+    for x in _sweep_grid(typed, typed["grid"]).tolist():
         branch, repaired = decide_and_repair(homodyne_condition(tagged, x), x, alpha, theta)
         interval, target = targets[branch]
         fidelity = repaired.fidelity(target) if repaired is not None and target is not None else 0.0
@@ -338,11 +364,11 @@ EXPERIMENTS: dict[str, Experiment] = {
             description="iterated symmetry detection, closed form vs simulation",
             columns="k,m_k,n_k,ratio,C_k,step_success_prob,cumulative_prob,fidelity_psi3",
             params=_PAIR_PARAMS
-            + (Param("k", "int", required=True, doc="number of detector passes (max 30)", min=1),)
+            + (Param("k", "int", required=True, doc=f"number of detector passes (max {MAX_CASCADE_STEPS})", min=1),)
             + _PROBE_PARAMS
             + (_OUTPUT_PARAM,),
             runner=run_cascade,
-            checker=_check_detector,
+            checker=_check_cascade,
         ),
         Experiment(
             name="symmetry-detect",
@@ -400,7 +426,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                 _OUTPUT_PARAM,
             ),
             runner=run_homodyne_sweep,
-            checker=_check_detector,
+            checker=_check_sweep,
         ),
     )
 }
@@ -415,10 +441,6 @@ def _experiment_for(values: dict[str, str]) -> Experiment:
             f"unknown experiment {name!r}; choose one of {', '.join(sorted(EXPERIMENTS))}"
         )
     return EXPERIMENTS[name]
-
-
-def _pdc_columns(typed: dict) -> str:
-    return "k,a3,a21,a111" if "k" in typed else "n,amplitude,probability"
 
 
 def _format_cell(value) -> str:
@@ -441,7 +463,7 @@ def _output_path(experiment: Experiment, typed: dict) -> Path:
 def _write_outputs(experiment: Experiment, typed: dict, rows: list[tuple]) -> Path:
     columns = experiment.columns
     if experiment.name == "pdc-weights":
-        columns = _pdc_columns(typed)
+        columns = "k,a3,a21,a111" if "k" in typed else "n,amplitude,probability"
     path = _output_path(experiment, typed)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [columns]

@@ -400,60 +400,6 @@ def pbs(
     return _embedded(register, entries)
 
 
-# -- circuit description files -----------------------------------------
-
-
-def parse_circuit(text: str, register: ModeRegister) -> list[ModeTransform]:
-    """Parse a circuit description into a list of transforms, in order.
-
-    One element per line, ``#`` starts a comment.  Supported elements::
-
-        BS50 <spatial_a> <spatial_b>
-        BSU  <spatial_in> <spatial_t> <spatial_r> T=<transmission>
-        ROT  <spatial> theta=<radians>
-        PBS  <spatial_in> <spatial_out_h> <spatial_out_v>
-    """
-    elements: list[ModeTransform] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        kind, args = fields[0].upper(), fields[1:]
-        try:
-            elements.append(_parse_element(kind, args, register))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return elements
-
-
-def _parse_element(kind: str, args: list[str], register: ModeRegister) -> ModeTransform:
-    if kind == "BS50":
-        if len(args) != 2:
-            raise ValueError("BS50 takes exactly two spatial modes")
-        return bs_5050(register, args[0], args[1])
-    if kind == "BSU":
-        if len(args) != 4:
-            raise ValueError("BSU takes two spatial outputs and a T= value")
-        return bs_unbalanced(register, args[0], args[2], args[1], _keyword(args[3], "T"))
-    if kind == "ROT":
-        if len(args) != 2:
-            raise ValueError("ROT takes one spatial mode and a theta= value")
-        return polarization_rotation(register, args[0], _keyword(args[1], "theta"))
-    if kind == "PBS":
-        if len(args) != 3:
-            raise ValueError("PBS takes an input and two output spatial modes")
-        return pbs(register, args[0], args[1], args[2])
-    raise ValueError(f"unknown element {kind!r}")
-
-
-def _keyword(token: str, name: str) -> float:
-    key, _, value = token.partition("=")
-    if key != name or not value:
-        raise ValueError(f"expected {name}=<value>, got {token!r}")
-    return float(value)
-
-
 def apply_circuit(
     ket: FockKet,
     elements: Iterable[ModeTransform],

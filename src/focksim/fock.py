@@ -6,8 +6,8 @@ construction; every operation returns a new state, so kets can be shared
 freely across threads.
 
 Occupations are validated once, where they enter from outside: the public
-``FockKet(register, terms)``, :meth:`FockKet.basis`, :func:`read_state_text`
-and :func:`expand_bilinear_power` check every term's length and range and
+``FockKet(register, terms)``, :meth:`FockKet.basis` and
+:func:`expand_bilinear_power` check every term's length and range and
 convert every amplitude to a Python ``complex``.  A ket built from the
 terms of valid kets (every operation here, the elements and the readouts)
 goes through :meth:`FockKet._from_valid`, which trusts both and only
@@ -101,10 +101,6 @@ class ModeRegister:
         if not found:
             raise ValueError(f"no spatial mode {spatial!r} in register")
         return found
-
-    def extended(self, extra: Iterable[tuple[str, str]]) -> "ModeRegister":
-        """New register with additional modes appended."""
-        return ModeRegister(self._modes + tuple(extra))
 
     def __len__(self) -> int:
         return len(self._modes)
@@ -357,34 +353,6 @@ class FockKet:
             return 0.0
         return abs(self.inner(other)) ** 2 / denom
 
-    def tensor(self, other: "FockKet") -> "FockKet":
-        """Joint state on the concatenated registers."""
-        register = self._register.extended(other._register.modes)
-        out = {
-            occ_a + occ_b: amp_a * amp_b
-            for occ_a, amp_a in self._terms.items()
-            for occ_b, amp_b in other._terms.items()
-        }
-        return FockKet._from_valid(register, out)
-
-    def apply_creation(self, powers: Iterable[int]) -> "FockKet":
-        """Apply a monomial in creation operators, one power per mode.
-
-        Each basis term picks up the usual sqrt factor
-        prod_i sqrt((m_i + p_i)! / m_i!).
-        """
-        powers = _check_occupation(self._register, tuple(powers))
-        out: dict[tuple[int, ...], complex] = {}
-        for occ, amp in self._terms.items():
-            new_occ = tuple(m + p for m, p in zip(occ, powers))
-            _check_occupation(self._register, new_occ)
-            factor = 1.0
-            for m, p in zip(occ, powers):
-                if p:
-                    factor *= _SQRT_FACT[m + p] / _SQRT_FACT[m]
-            out[new_occ] = out.get(new_occ, 0.0) + amp * factor
-        return FockKet._from_valid(self._register, out)
-
     # -- measurement --------------------------------------------------
 
     def project(
@@ -423,7 +391,7 @@ class FockKet:
     def extended(self, extra: Iterable[tuple[str, str]]) -> "FockKet":
         """Append vacuum modes to the register."""
         extra = tuple(extra)
-        register = self._register.extended(extra)
+        register = ModeRegister(self._register.modes + extra)
         pad = (0,) * len(extra)
         return FockKet._from_valid(register, {occ + pad: amp for occ, amp in self._terms.items()})
 
@@ -483,44 +451,6 @@ def expand_bilinear_power(form: BilinearForm, n: int, register: ModeRegister) ->
     return FockKet(register, terms)
 
 
-# -- plain-text state format ------------------------------------------
-
-
 def format_float(x: float) -> str:
     """Canonical 17-significant-digit rendering used in all output files."""
     return format(float(x), ".17g")
-
-
-def write_state_text(ket: FockKet) -> str:
-    """Serialize a ket: header line of mode labels, then one term per line.
-
-    Terms are ordered lexicographically by occupation vector so output is
-    deterministic.
-    """
-    lines = ["# modes: " + " ".join(ket.register.labels)]
-    for occ in sorted(ket._terms):
-        amp = ket._terms[occ]
-        lines.append(
-            f"{format_float(amp.real)} {format_float(amp.imag)} : "
-            + " ".join(str(v) for v in occ)
-        )
-    return "\n".join(lines) + "\n"
-
-
-def read_state_text(text: str) -> FockKet:
-    """Parse the plain-text state format produced by :func:`write_state_text`."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("# modes:"):
-        raise ValueError("state text must start with a '# modes:' header line")
-    labels = lines[0][len("# modes:") :].split()
-    register = ModeRegister((lab[:-1], lab[-1]) for lab in labels)
-    terms: dict[tuple[int, ...], complex] = {}
-    for ln in lines[1:]:
-        head, _, tail = ln.partition(":")
-        parts = head.split()
-        if len(parts) != 2 or not tail:
-            raise ValueError(f"malformed term line: {ln!r}")
-        amp = complex(float(parts[0]), float(parts[1]))
-        occ = tuple(int(v) for v in tail.split())
-        terms[occ] = terms.get(occ, 0.0) + amp
-    return FockKet(register, terms)

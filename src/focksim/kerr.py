@@ -8,6 +8,12 @@ variance, and conditioning on an outcome ``x`` multiplies the branch at
 probe phase ``phi`` by::
 
     exp(-(x - 2 a cos(phi))^2 / 4) * exp(i a sin(phi) (x - 2 a cos(phi)))
+
+This omits the x-independent per-branch phase ``exp(i a^2 sin(phi) cos(phi))``
+(``= exp(i Re(beta) Im(beta))``) that the exact overlap ``<x|beta>``
+carries, as Barrett et al., PRA 71, 060302 (2005) and Nemoto & Munro, PRL
+93, 250502 (2004) do.  Every ``fidelity_after_correction`` column therefore
+assumes that a lab also applies that fixed phase to each branch.
 """
 
 from __future__ import annotations

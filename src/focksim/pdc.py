@@ -116,19 +116,3 @@ def six_photon_mixture(k: float) -> SixPhotonMixtureWeights:
     if not np.isfinite(amps).all():
         raise CapacityError(f"k={k} is too large: the mixture amplitudes are not finite")
     return SixPhotonMixtureWeights(k=k, amps=amps)
-
-
-def mixture_component_ket(index: int) -> FockKet:
-    """Six-photon ket of one mixture component on its natural register.
-
-    Independent down-conversion processes occupy distinct spatial pairs:
-    component 0 lives on (a, b), component 1 on (a, b, a2, b2) and
-    component 2 on (a, b, a2, b2, a3, b3).
-    """
-    if index == 0:
-        return psi_n(3)
-    if index == 1:
-        return psi_n(2).tensor(psi_n(1, "a2", "b2"))
-    if index == 2:
-        return psi_n(1).tensor(psi_n(1, "a2", "b2")).tensor(psi_n(1, "a3", "b3"))
-    raise ValueError("component index must be 0, 1 or 2")

@@ -480,6 +480,27 @@ def test_probe_overflow_names_alpha(out_dir, capsys, args):
     assert not any(out_dir.iterdir())
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("cascade", "m0=0.6", "n0=0.3", "k=40"), "capacity error: k=40"),
+        (("pdc-weights", "k=1e200"), "capacity error: k=1e+200"),
+        (("homodyne-sweep", "m0=1", "n0=0", "alpha=1e307"), "numeric error: alpha=1e+307"),
+    ],
+    ids=["cascade", "pdc-weights", "homodyne-sweep"],
+)
+def test_validate_finds_the_run_time_overflow(out_dir, capsys, tmp_path_factory, args, message):
+    # the checker calls the library function that raises at run time
+    assert run_cli("run", *args) == 3
+    assert capsys.readouterr().err.startswith(message)
+    assert not any(out_dir.iterdir())
+    config = tmp_path_factory.mktemp("config") / "job.cfg"
+    config.write_text(f"experiment = {args[0]}\n" + "".join(f"{a.replace('=', ' = ')}\n" for a in args[1:]))
+    assert run_cli("validate", str(config)) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and captured.out == ""
+
+
 @pytest.mark.parametrize("samples", ["0", "10"])
 def test_ghz_probe_whose_peak_spread_overflows_is_rejected(out_dir, capsys, tmp_path_factory, samples):
     args = ("ghz-circuit", "alpha=1e200", f"samples={samples}", "seed=1")

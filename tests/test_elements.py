@@ -15,7 +15,6 @@ from focksim import (
     bs_unbalanced,
     expand_bilinear_power,
     identity,
-    parse_circuit,
     pbs,
     polarization_rotation,
 )
@@ -232,45 +231,6 @@ class TestInvariants:
             assert out.photon_expectation() == pytest.approx(
                 ket.photon_expectation(), abs=1e-10
             )
-
-
-class TestCircuitFiles:
-    REGISTER = ModeRegister.polarized("a", "b", "c0", "c1")
-
-    def test_parse_and_apply_matches_direct_construction(self):
-        text = """
-        # prepare: rotate arm b, split arm a, then mix the outputs
-        ROT b theta=0.7853981633974483
-        BSU a c0 c1 T=0.6666666666666666
-        BS50 c0 c1
-        """
-        elements = parse_circuit(text, self.REGISTER)
-        assert len(elements) == 3
-        direct = [
-            polarization_rotation(self.REGISTER, "b", math.pi / 4.0),
-            bs_unbalanced(self.REGISTER, "a", "c1", "c0", 2.0 / 3.0),
-            bs_5050(self.REGISTER, "c0", "c1"),
-        ]
-        ket = expand_bilinear_power(
-            singlet_form(self.REGISTER), 2, self.REGISTER
-        ).normalized()
-        via_file = apply_circuit(ket, elements)
-        via_calls = apply_circuit(ket, direct)
-        assert (via_file - via_calls).norm < 1e-12
-
-    def test_pbs_line(self):
-        register = ModeRegister([("c1", "H"), ("c1", "V"), ("e1h", "H"), ("e1v", "V")])
-        elements = parse_circuit("PBS c1 e1h e1v", register)
-        out = elements[0].apply(FockKet.basis(register, (1, 0, 0, 0)))
-        assert out.amplitude((0, 0, 1, 0)) == pytest.approx(1.0)
-
-    def test_unknown_element_reports_line_number(self):
-        with pytest.raises(ValueError, match="line 2"):
-            parse_circuit("BS50 a b\nWIBBLE a", self.REGISTER)
-
-    def test_bad_keyword_rejected(self):
-        with pytest.raises(ValueError, match="T="):
-            parse_circuit("BSU a c0 c1 R=0.3", self.REGISTER)
 
 
 def expansion_path_apply(transform: ModeTransform, ket: FockKet) -> FockKet:

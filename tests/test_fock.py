@@ -15,8 +15,6 @@ from focksim import (
     bs_5050,
     expand_bilinear_power,
     homodyne_condition,
-    read_state_text,
-    write_state_text,
 )
 from focksim.pdc import singlet_form
 
@@ -76,37 +74,6 @@ class TestModeRegister:
         assert TWIN.spatial_indices("b") == (2, 3)
         with pytest.raises(ValueError):
             TWIN.index("c", "H")
-
-
-class TestCreationMonomial:
-    def test_zero_powers_is_identity(self):
-        ket = FockKet(TWIN, {(1, 0, 2, 0): 0.5, (0, 1, 0, 1): 0.5j})
-        out = ket.apply_creation((0, 0, 0, 0))
-        assert dict(out.items()) == dict(ket.items())
-
-    def test_cubed_creation_on_vacuum(self):
-        out = FockKet.vacuum(SINGLE).apply_creation((3,))
-        assert out.amplitude((3,)) == pytest.approx(math.sqrt(6.0))
-
-    def test_register_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            FockKet.vacuum(SINGLE).apply_creation((1, 0))
-
-    def test_composition_equals_direct_application(self):
-        # composing p then q must equal p + q exactly, all occupations <= 4
-        for m in range(5):
-            for p in range(5 - m):
-                for q in range(5 - m - p):
-                    ket = FockKet.basis(SINGLE, (m,))
-                    composed = ket.apply_creation((p,)).apply_creation((q,))
-                    direct = ket.apply_creation((p + q,))
-                    assert dict(composed.items()) == dict(direct.items())
-
-    def test_composition_on_multimode(self):
-        ket = FockKet(TWO, {(1, 2): 1.0})
-        composed = ket.apply_creation((1, 0)).apply_creation((1, 1))
-        direct = ket.apply_creation((2, 1))
-        assert dict(composed.items()) == dict(direct.items())
 
 
 class TestBilinearPower:
@@ -304,23 +271,6 @@ def test_project_matches_closure_project(ket_and_pattern):
 
 
 class TestTensorAndReshape:
-    def test_tensor_concatenates_registers(self):
-        a = FockKet(SINGLE, {(1,): 1.0}).normalized()
-        b = FockKet(ModeRegister([("b", "H")]), {(2,): 1.0}).normalized()
-        joint = a.tensor(b)
-        assert joint.register.labels == ("aH", "bH")
-        assert joint.amplitude((1, 2)) == pytest.approx(1.0)
-
-    def test_tensor_then_marginal_projection_recovers_factors(self):
-        rng = np.random.Generator(np.random.Philox(7))
-        a = random_ket(rng, SINGLE, terms=3, max_photons=3)
-        b = random_ket(rng, ModeRegister([("b", "H")]), terms=3, max_photons=3)
-        joint = a.tensor(b)
-        assert joint.norm == pytest.approx(a.norm * b.norm)
-        for occ_b, amp_b in b.items():
-            projected, probability = joint.project({"bH": occ_b[0]})
-            assert probability == pytest.approx(abs(amp_b) ** 2)
-
     def test_restricted_drops_empty_modes_only(self):
         ket = FockKet(TWIN, {(1, 0, 0, 0): 1.0})
         reduced = ket.restricted(["a"])
@@ -362,10 +312,6 @@ class TestValidationAtPublicConstructors:
         with pytest.raises(error):
             FockKet(TWIN, {(0, 0, 0, 0): 1.0, occ: 0.5})
 
-    def test_creation_past_the_cap_raises(self):
-        with pytest.raises(CapacityError):
-            FockKet(TWO, {(0, 1): 1.0, (15, 0): 1.0}).apply_creation((1, 0))
-
     def test_internal_kets_store_python_complex(self):
         # numpy amplitudes in, and every operation's result holds complex
         ket = FockKet(TWIN, {(1, 0, 2, 0): np.float64(0.6), (0, 1, 0, 2): np.complex128(0.8j)})
@@ -382,26 +328,3 @@ class TestValidationAtPublicConstructors:
         ]
         for result in results:
             assert all(type(amp) is complex for _, amp in result.items())
-
-
-class TestStateText:
-    def test_header_and_lexicographic_order(self):
-        ket = FockKet(TWO, {(1, 0): 0.5, (0, 1): -0.5}).normalized()
-        text = write_state_text(ket)
-        lines = text.splitlines()
-        assert lines[0] == "# modes: aH bH"
-        assert lines[1].endswith(": 0 1")
-        assert lines[2].endswith(": 1 0")
-
-    def test_round_trip_is_exact(self):
-        rng = np.random.Generator(np.random.Philox(23))
-        ket = random_ket(rng, TWIN)
-        back = read_state_text(write_state_text(ket))
-        assert back.register == ket.register
-        assert dict(back.items()) == dict(ket.items())
-
-    def test_malformed_input_rejected(self):
-        with pytest.raises(ValueError, match="header"):
-            read_state_text("1.0 0.0 : 0 0")
-        with pytest.raises(ValueError, match="malformed"):
-            read_state_text("# modes: aH\n1.0 : 0")

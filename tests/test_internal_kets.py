@@ -33,13 +33,11 @@ from focksim import (
     make_rng,
     peak_center,
     polarization_rotation,
-    read_state_text,
     sample_homodyne,
     scheme_register,
     spin_flip,
     twin_beam_register,
     twin_beam_state,
-    write_state_text,
 )
 from focksim.detector import decide_and_repair
 from focksim.kerr import ProbeTaggedState
@@ -77,13 +75,10 @@ def kets(readout):
         "difference": twin - mixed,
         "scaled": mixed * (0.3 - 0.2j),
         "normalized": (twin + mixed).normalized(),
-        "tensor": twin.tensor(FockKet.basis(ModeRegister.polarized("c"), (1, 0))),
-        "creation": mixed.apply_creation((1, 0, 0, 2)),
         "project": mixed.project({"a": 3})[0],
         "extended": mixed.extended([("c", "H")]),
         "restricted": mixed.extended([("c", "H")]).restricted(("a", "b")),
         "bilinear power": expand_bilinear_power(singlet_form(TWIN), 2, TWIN),
-        "state text": read_state_text(write_state_text(mixed)),
         "homodyne condition": homodyne_condition(tagged, peak_center(ALPHA, THETA) + 0.3),
         "branch": tagged.branch(0),
         "phase correction": apply_phase_correction(mixed, 0.7, "b"),
@@ -100,8 +95,8 @@ def kets(readout):
 
 KET_NAMES = [
     "public constructor", "mixing apply", "rotation apply", "sum", "difference", "scaled",
-    "normalized", "tensor", "creation", "project", "extended", "restricted", "bilinear power",
-    "state text", "homodyne condition", "branch", "phase correction", "forced asymmetric",
+    "normalized", "project", "extended", "restricted", "bilinear power",
+    "homodyne condition", "branch", "phase correction", "forced asymmetric",
     "sampled detection", "spin flip", "prepared", "ghz repair", "ghz repair at a peak",
     "ghz sample", "sample_homodyne",
 ]

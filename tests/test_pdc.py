@@ -7,7 +7,6 @@ from focksim import (
     CapacityError,
     ModeRegister,
     bs_5050,
-    mixture_component_ket,
     psi_n,
     singlet_form,
     six_photon_mixture,
@@ -170,21 +169,3 @@ class TestSixPhotonMixture:
         denom = (1e150 + 1.0) * (1e150 + 2.0)
         assert mixture.amps[0] == complex(math.sqrt(6.0 / denom))
         assert all(math.isfinite(abs(a)) for a in mixture.amps)
-
-    def test_component_kets(self):
-        single = mixture_component_ket(0)
-        assert single.fidelity(psi_n(3)) == pytest.approx(1.0)
-        pair_and_one = mixture_component_ket(1)
-        assert len(pair_and_one.register) == 8
-        assert pair_and_one.register.labels[:4] == ("aH", "aV", "bH", "bV")
-        assert abs(pair_and_one.norm - 1.0) < 1e-12
-        assert pair_and_one.photon_numbers() == {6}
-        triple = mixture_component_ket(2)
-        assert len(triple.register) == 12
-        assert triple.photon_numbers() == {6}
-        assert abs(triple.norm - 1.0) < 1e-12
-
-    def test_single_process_state_is_exact(self):
-        mixture = six_photon_mixture(1.0)
-        state = mixture.amps[0].real * mixture_component_ket(0)
-        assert (state - psi_n(3)).norm == 0.0

@@ -10,6 +10,8 @@ extraction pipelines, all driven by a deterministic CSV experiment CLI.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .detector import (
     CascadeRun,
     CascadeStep,
@@ -86,4 +88,5 @@ from .schemes import (
     w_pair_state,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# every name imported above but the submodules, which stay reachable as attributes
+__all__ = [name for name in dir() if not (name.startswith("_") or isinstance(globals()[name], _ModuleType))]

@@ -314,7 +314,10 @@ def run_pdc_weights(typed: dict) -> list[tuple]:
 
 def _sweep_grid(typed: dict, points: int) -> np.ndarray:
     alpha = typed["alpha"]
-    return np.linspace(peak_center(alpha, typed["theta"]) - 8.0, 2.0 * alpha + 8.0, points)
+    top = 2.0 * alpha + 8.0  # at or above the lower end, so it overflows first
+    if not math.isfinite(top):
+        raise OverflowError(f"alpha={alpha} is too large: the sweep grid's end 2*alpha + 8 overflows a double")
+    return np.linspace(peak_center(alpha, typed["theta"]) - 8.0, top, points)
 
 
 def _check_sweep(typed: dict) -> list[str]:

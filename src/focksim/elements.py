@@ -282,13 +282,15 @@ def identity(register: ModeRegister) -> ModeTransform:
     return ModeTransform(register, np.eye(len(register)))
 
 
-def _embedded(register: ModeRegister, entries: dict[tuple[int, int], complex]) -> ModeTransform:
+def _embedded(register: ModeRegister, blocks: Iterable[tuple[tuple[int, ...], tuple]]) -> ModeTransform:
+    """The identity on ``register`` with each ``(modes, rows)`` block written onto its modes.
+
+    Row ``a`` of a block substitutes input mode ``modes[a]`` over the output
+    modes ``modes``: ``matrix[modes[a], modes[b]] = rows[a][b]``.
+    """
     matrix = np.eye(len(register), dtype=complex)
-    touched = {i for i, _ in entries} | {j for _, j in entries}
-    for i in touched:
-        matrix[i, i] = 0.0
-    for (i, j), value in entries.items():
-        matrix[i, j] = value
+    for modes, rows in blocks:
+        matrix[np.ix_(modes, modes)] = rows
     return ModeTransform(register, matrix)
 
 
@@ -304,22 +306,14 @@ def bs_5050(register: ModeRegister, spatial_a: str, spatial_b: str) -> ModeTrans
     if spatial_a == spatial_b:
         raise ValueError("beam splitter needs two distinct spatial modes")
     inv = 1.0 / math.sqrt(2.0)
-    entries: dict[tuple[int, int], complex] = {}
-    paired = False
-    for pol in ("H", "V"):
-        if not (register.has_mode(spatial_a, pol) and register.has_mode(spatial_b, pol)):
-            continue
-        paired = True
-        ia, ib = register.index(spatial_a, pol), register.index(spatial_b, pol)
-        entries[(ia, ia)] = inv
-        entries[(ia, ib)] = inv
-        entries[(ib, ib)] = inv
-        entries[(ib, ia)] = -inv
-    if not paired:
-        raise ValueError(
-            f"no common polarization between {spatial_a!r} and {spatial_b!r}"
-        )
-    return _embedded(register, entries)
+    blocks = [
+        ((register.index(spatial_a, pol), register.index(spatial_b, pol)), ((inv, inv), (-inv, inv)))
+        for pol in ("H", "V")
+        if register.has_mode(spatial_a, pol) and register.has_mode(spatial_b, pol)
+    ]
+    if not blocks:
+        raise ValueError(f"no common polarization between {spatial_a!r} and {spatial_b!r}")
+    return _embedded(register, blocks)
 
 
 def bs_unbalanced(
@@ -342,23 +336,16 @@ def bs_unbalanced(
         raise ValueError("input, reflected and transmitted spatial modes must be distinct")
     st = math.sqrt(transmission)
     sr = math.sqrt(1.0 - transmission)
-    entries: dict[tuple[int, int], complex] = {}
-    routed = False
-    for pol in ("H", "V"):
-        if not register.has_mode(spatial_in, pol):
-            continue
-        routed = True
-        i = register.index(spatial_in, pol)
-        r = register.index(spatial_r, pol)
-        t = register.index(spatial_t, pol)
-        entries[(i, t)] = st
-        entries[(i, r)] = sr
-        entries[(r, r)] = st
-        entries[(r, t)] = -sr
-        entries[(t, i)] = 1.0
-    if not routed:
+    # rows of in, r, t over the modes in, r, t
+    rows = ((0.0, sr, st), (0.0, st, -sr), (1.0, 0.0, 0.0))
+    blocks = [
+        (tuple(register.index(spatial, pol) for spatial in (spatial_in, spatial_r, spatial_t)), rows)
+        for pol in ("H", "V")
+        if register.has_mode(spatial_in, pol)
+    ]
+    if not blocks:
         raise ValueError(f"input spatial mode {spatial_in!r} not present in register")
-    return _embedded(register, entries)
+    return _embedded(register, blocks)
 
 
 def polarization_rotation(register: ModeRegister, spatial: str, theta: float) -> ModeTransform:
@@ -369,10 +356,9 @@ def polarization_rotation(register: ModeRegister, spatial: str, theta: float) ->
     """
     if not (register.has_mode(spatial, "H") and register.has_mode(spatial, "V")):
         raise ValueError(f"spatial mode {spatial!r} needs both H and V modes in the register")
-    h = register.index(spatial, "H")
-    v = register.index(spatial, "V")
     c, s = math.cos(theta), math.sin(theta)
-    return _embedded(register, {(h, h): c, (h, v): -s, (v, v): c, (v, h): s})
+    modes = (register.index(spatial, "H"), register.index(spatial, "V"))
+    return _embedded(register, [(modes, ((c, -s), (s, c)))])
 
 
 def pbs(
@@ -388,16 +374,14 @@ def pbs(
     """
     if spatial_out_h == spatial_out_v:
         raise ValueError("the two output spatial modes must be distinct")
-    entries: dict[tuple[int, int], complex] = {}
-    for pol, out in (("H", spatial_out_h), ("V", spatial_out_v)):
-        i = register.index(spatial_in, pol)
-        o = register.index(out, pol)
-        if i != o:
-            # swap keeps the permutation unitary; the counter-propagating
-            # entry is never exercised because output modes start in vacuum
-            entries[(i, o)] = 1.0
-            entries[(o, i)] = 1.0
-    return _embedded(register, entries)
+    pairs = [
+        (register.index(spatial_in, pol), register.index(out, pol))
+        for pol, out in (("H", spatial_out_h), ("V", spatial_out_v))
+    ]
+    # a swap keeps the permutation unitary; the counter-propagating entry is
+    # never exercised because output modes start in vacuum
+    swap = ((0.0, 1.0), (1.0, 0.0))
+    return _embedded(register, [(pair, swap) for pair in pairs if pair[0] != pair[1]])
 
 
 def apply_circuit(

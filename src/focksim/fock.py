@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 MAX_OCCUPANCY = 15
@@ -150,41 +149,26 @@ def _significant(terms: Mapping) -> dict:
 class _Selection:
     """An occupancy pattern (see :meth:`FockKet.project`) compiled for one register.
 
-    :meth:`FockKet.project` and the post-selecting
+    ``key`` holds one ``(mode indices, wanted total)`` group per pattern
+    entry: a mode label names its one index, a spatial name every
+    polarization it has.  :meth:`keeps` keeps a term when each group holds
+    its total.  :meth:`FockKet.project` and the post-selecting
     :func:`focksim.elements.apply_circuit` both test terms with
     :meth:`keeps` and finish with :meth:`projected`, so the two give the
-    same bits.  ``key`` is the compiled pattern (mode indices and counts),
-    by which a caller can remember which terms the pattern keeps.
+    same bits, and a caller can remember by ``key`` which terms it keeps.
     """
 
-    __slots__ = ("key", "_register", "_modes_of", "_wanted", "_groups")
+    __slots__ = ("key", "_register")
 
     def __init__(self, register: ModeRegister, pattern: Mapping[str, int]):
-        # exact counts: one getter over the constrained modes, compared with
-        # the wanted counts; a spatial mode with a single polarization is one
-        modes: list[int] = []
-        counts: list[int] = []
-        groups: list[tuple[tuple[int, ...], int]] = []
-        for key, count in pattern.items():
-            if key in register._index:
-                indices: tuple[int, ...] = (register.index(key),)
-            else:
-                indices = register.spatial_indices(key)
-            if len(indices) == 1:
-                modes += indices
-                counts.append(int(count))
-            else:
-                groups.append((indices, int(count)))
-        self.key = (tuple(modes), tuple(counts), tuple(groups))
+        self.key = tuple(
+            ((register.index(key),) if key in register._index else register.spatial_indices(key), int(count))
+            for key, count in pattern.items()
+        )
         self._register = register
-        self._modes_of = itemgetter(*modes) if modes else None
-        self._wanted = counts[0] if len(modes) == 1 else tuple(counts)
-        self._groups = tuple((itemgetter(*indices), count) for indices, count in groups)
 
     def keeps(self, occ: tuple[int, ...]) -> bool:
-        if self._modes_of is not None and self._modes_of(occ) != self._wanted:
-            return False
-        return all(sum(total_of(occ)) == count for total_of, count in self._groups)
+        return all(sum(occ[i] for i in indices) == count for indices, count in self.key)
 
     def projected(
         self, total: float, kept: dict[tuple[int, ...], complex]

@@ -16,14 +16,13 @@ from dataclasses import dataclass
 from functools import cache
 
 from .elements import ModeTransform, apply_circuit, bs_unbalanced, pbs, polarization_rotation
-from .fock import FockKet, ModeRegister, expand_bilinear_power
+from .fock import FockKet, ModeRegister, _Selection, expand_bilinear_power
 from .kerr import (
     _draw_homodyne,
     apply_cross_kerr,
     apply_probe_phase,
     attach_probe,
     homodyne_condition,
-    homodyne_pdf,
     make_rng,
     peak_center,
     repair_phase,
@@ -32,6 +31,8 @@ from .pdc import singlet_form
 
 SCHEME_SPATIALS = ("c1", "c2", "c3", "d1", "d2", "d3")
 scheme_register = ModeRegister.polarized(*SCHEME_SPATIALS)
+# the post-selection of the preparation, which the extraction circuit needs of its input
+_ONE_PHOTON_PER_MODE = {spatial: 1 for spatial in SCHEME_SPATIALS}
 
 # Kerr cell strengths on the tapped horizontal paths, in base-phase units,
 # ordered as SCHEME_SPATIALS; the probe gate then rewinds 12 base units.
@@ -123,9 +124,7 @@ def build_psi_theta(theta: float) -> SchemeResult:
     """
     source, splitters = _preparation()
     rotation = polarization_rotation(source.register, "b", theta)
-    projected, probability = apply_circuit(
-        source, (rotation, *splitters), postselect={s: 1 for s in SCHEME_SPATIALS}
-    )
+    projected, probability = apply_circuit(source, (rotation, *splitters), postselect=_ONE_PHOTON_PER_MODE)
     if projected is None:
         raise ValueError("post-selection pattern has zero probability")
     return SchemeResult(
@@ -282,13 +281,6 @@ def decode_table(alpha: float, theta: float) -> GhzDecodeTable:
 _PATH_SPATIALS = ("p1", "p2", "p3", "p4", "p5", "p6")
 
 
-def _require_one_photon_per_mode(state: FockKet) -> None:
-    for occ, _ in state.items():
-        for spatial in SCHEME_SPATIALS:
-            if sum(occ[i] for i in state.register.spatial_indices(spatial)) != 1:
-                raise ValueError("circuit input needs exactly one photon per spatial mode")
-
-
 @cache
 def _taps(register: ModeRegister) -> tuple[ModeTransform, ...]:
     """The polarizing taps of the scheme modes into their paths, built once per register."""
@@ -305,7 +297,9 @@ def tagged_circuit_state(state: FockKet, alpha: float, theta: float):
     """
     if state.register != scheme_register:
         raise ValueError("circuit expects a ket on the six-mode scheme register")
-    _require_one_photon_per_mode(state)
+    selection = _Selection(scheme_register, _ONE_PHOTON_PER_MODE)
+    if not all(selection.keeps(occ) for occ, _ in state.items()):
+        raise ValueError("circuit input needs exactly one photon per spatial mode")
     extended = state.extended((p, "H") for p in _PATH_SPATIALS)
     register = extended.register
     splitters = _taps(register)
@@ -316,9 +310,6 @@ def tagged_circuit_state(state: FockKet, alpha: float, theta: float):
     tagged = attach_probe(extended, alpha, theta)
     tagged = apply_cross_kerr(tagged, weights)
     return apply_probe_phase(tagged, GHZ_PROBE_GATE), splitters
-
-
-MIN_DECODABLE_DENSITY = 1e-300
 
 
 class GhzReadout:
@@ -369,12 +360,11 @@ class GhzReadout:
     def condition(self, x: float) -> tuple[FockKet | None, int]:
         """Corrected state and interval index for the quadrature outcome ``x``.
 
-        The state is ``None`` when ``x`` has no support: its density is
-        below ``MIN_DECODABLE_DENSITY`` or conditioning leaves no term.
+        The state is ``None`` when ``x`` has no support: conditioning leaves no term.
         """
         x = float(x)
         conditioned = homodyne_condition(self._tagged, x)
-        if conditioned is None or homodyne_pdf(self._tagged, x) < MIN_DECODABLE_DENSITY:
+        if conditioned is None:
             return None, self.table.lookup(x).index
         return self._repair(conditioned, x)
 

@@ -486,8 +486,9 @@ def test_probe_overflow_names_alpha(out_dir, capsys, args):
         (("cascade", "m0=0.6", "n0=0.3", "k=40"), "capacity error: k=40"),
         (("pdc-weights", "k=1e200"), "capacity error: k=1e+200"),
         (("homodyne-sweep", "m0=1", "n0=0", "alpha=1e307"), "numeric error: alpha=1e+307"),
+        (("homodyne-sweep", "m0=1", "n0=0", "alpha=1e308"), "numeric error: alpha=1e+308"),
     ],
-    ids=["cascade", "pdc-weights", "homodyne-sweep"],
+    ids=["cascade", "pdc-weights", "homodyne-sweep", "homodyne-sweep-grid"],
 )
 def test_validate_finds_the_run_time_overflow(out_dir, capsys, tmp_path_factory, args, message):
     # the checker calls the library function that raises at run time

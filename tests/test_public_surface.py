@@ -1,4 +1,5 @@
 import re
+import types
 from pathlib import Path
 
 import focksim
@@ -17,3 +18,4 @@ def test_readme_lists_exactly_the_exported_names():
     names = readme_surface()
     assert len(names) == len(set(names))
     assert sorted(names) == sorted(focksim.__all__)
+    assert not any(isinstance(getattr(focksim, name), types.ModuleType) for name in focksim.__all__)

@@ -239,12 +239,14 @@ class TestGhzCircuit:
             assert corrected.fidelity(target) > 1.0 - 1e-9
 
     def test_far_tail_outcome_is_decoded(self):
-        # 12 beyond the top peak: density 1.2e-33, above MIN_DECODABLE_DENSITY
+        # beyond the top peak by 12 (density 1.2e-33) and by 38 (density below
+        # 1e-300, where conditioning still leaves terms and is exact)
         readout = GhzReadout(build_psi_theta(HALF_PI).state, ALPHA, THETA)
-        corrected, index = readout.condition(2.0 * ALPHA + 12.0)
-        assert index == 9
-        assert corrected is not None and corrected.is_normalized
-        assert corrected.fidelity(ghz_state()) > 1.0 - 1e-9
+        for offset in (12.0, 38.0):
+            corrected, index = readout.condition(2.0 * ALPHA + offset)
+            assert index == 9
+            assert corrected is not None and corrected.is_normalized
+            assert corrected.fidelity(ghz_state()) > 1.0 - 1e-9
 
     def test_unsupported_outcome_is_empty(self):
         state = build_psi_theta(HALF_PI).state
@@ -287,6 +289,17 @@ class TestGhzCircuit:
         for x in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="quadrature x must be finite"):
                 ghz_circuit(state, ALPHA, THETA, x=x)
+
+    def test_sampled_call_is_one_readout_draw(self):
+        state = build_psi_theta(HALF_PI).state
+        corrected, index = ghz_circuit(state, ALPHA, THETA, rng=2024)
+        expected, expected_index, _ = GhzReadout(state, ALPHA, THETA).sample(make_rng(2024))
+        assert index == expected_index
+
+        def bits(ket):
+            return [(occ, amp.real.hex(), amp.imag.hex()) for occ, amp in ket.items()]
+
+        assert bits(corrected) == bits(expected)
 
     def test_requires_outcome_or_rng(self):
         state = build_psi_theta(HALF_PI).state

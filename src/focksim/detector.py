@@ -173,8 +173,8 @@ def detect(
 
     if rng is None:
         raise ValueError("sampled detection needs an rng or seed")
-    x, _, conditional = _draw_homodyne(tagged, make_rng(rng))
-    branch, repaired = decide_and_repair(conditional, x, alpha, theta)
+    x, _, terms = _draw_homodyne(tagged, make_rng(rng))
+    branch, repaired = decide_and_repair(FockKet._from_valid(tagged.register, terms), x, alpha, theta)
     probability = p_symmetric if branch == "symmetric" else 1.0 - p_symmetric
     return DetectorOutcome(branch, repaired, probability, x)
 

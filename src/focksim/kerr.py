@@ -20,18 +20,23 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .fock import NORM_TOLERANCE, FockKet, ModeRegister, _check_occupation, _pruned, _significant
+from .fock import NORM_TOLERANCE, PRUNE_THRESHOLD, FockKet, ModeRegister, _check_occupation, _pruned, _significant
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # distance from every peak beyond which conditioning rescales the amplitudes:
 # there every Gaussian weight exp(-offset^2 / 4) is below exp(-20) ~ 2e-9
 _TAIL_OFFSET = math.sqrt(80.0)
+_ZERO_WEIGHT_OFFSET = 60.0  # beyond this from its peak a term's weight is 0.0 (from about 54.6)
+# a term no other branch shares an occupation with, whose weight times
+# |amplitude| is below this, is pruned whatever its phase (half for rounding)
+_NEGLIGIBLE = 0.5 * PRUNE_THRESHOLD
 
 
 def peak_center(alpha: float, phase: float) -> float:
@@ -44,16 +49,21 @@ def repair_phase(alpha: float, phase: float, x: float) -> float:
     return alpha * math.sin(phase) * (x - peak_center(alpha, phase))
 
 
+_TaggedTerms = Mapping[tuple[tuple[int, ...], int], complex]  # keyed by (occupation, phase index)
+
+
 class _ReadoutView(NamedTuple):
     """What every homodyne readout of one tagged state reads."""
 
     norm_squared: float
+    normalized: bool  # as ProbeTaggedState.is_normalized, which a draw requires
     groups: tuple[tuple[int, float, float], ...]  # as ProbeTaggedState.phase_groups()
     group_total: float  # the group weights summed in that order, which a draw scales
-    centers: tuple[float, ...]  # every peak centre, ascending
-    # (occupation, amplitude, peak centre, alpha sin(phase)) per branch, the factors
-    # of the conditioning weight in the module docstring
-    conditioning: tuple[tuple[tuple[int, ...], complex, float, float], ...]
+    # (position, occupation, amplitude, peak centre, alpha sin(phase), bound) per
+    # branch, by ascending peak centre: the factors of the conditioning weight in
+    # the module docstring, and |amplitude| as the bound (inf for a shared occupation)
+    conditioning: tuple[tuple[int, tuple[int, ...], complex, float, float, float], ...]
+    centers: tuple[float, ...]  # the peak centres in that order
 
 
 class ProbeTaggedState:
@@ -68,13 +78,7 @@ class ProbeTaggedState:
 
     __slots__ = ("_register", "_terms", "_alpha", "_theta", "_view_cache")
 
-    def __init__(
-        self,
-        register: ModeRegister,
-        terms: Mapping[tuple[tuple[int, ...], int], complex],
-        alpha: float,
-        theta: float,
-    ):
+    def __init__(self, register: ModeRegister, terms: _TaggedTerms, alpha: float, theta: float):
         checked = {
             (_check_occupation(register, occ), int(idx)): amp
             for (occ, idx), amp in _significant(terms).items()
@@ -83,11 +87,7 @@ class ProbeTaggedState:
 
     @classmethod
     def _from_valid(
-        cls,
-        register: ModeRegister,
-        terms: Mapping[tuple[tuple[int, ...], int], complex],
-        alpha: float,
-        theta: float,
+        cls, register: ModeRegister, terms: _TaggedTerms, alpha: float, theta: float
     ) -> "ProbeTaggedState":
         """Tagged state from keys and ``complex`` amplitudes valid by construction.
 
@@ -133,14 +133,20 @@ class ProbeTaggedState:
             centers = {idx: peak_center(self._alpha, self.phase_of(idx)) for idx in weights}
             rates = {idx: self._alpha * math.sin(self.phase_of(idx)) for idx in weights}
             groups = tuple((idx, weights[idx], centers[idx]) for idx in weights)
+            norm_squared = sum(abs(a) ** 2 for a in self._terms.values())
+            shared = Counter(occ for occ, _ in self._terms)
+            conditioning = sorted(
+                ((i, occ, amp, centers[idx], rates[idx], abs(amp) if shared[occ] == 1 else math.inf)
+                 for i, ((occ, idx), amp) in enumerate(self._terms.items())),
+                key=lambda term: term[3],
+            )
             self._view_cache = _ReadoutView(
-                norm_squared=sum(abs(a) ** 2 for a in self._terms.values()),
+                norm_squared=norm_squared,
+                normalized=abs(norm_squared - 1.0) < NORM_TOLERANCE,
                 groups=groups,
                 group_total=sum(weight for _, weight, _ in groups),
-                centers=tuple(sorted(centers.values())),
-                conditioning=tuple(
-                    (occ, amp, centers[idx], rates[idx]) for (occ, idx), amp in self._terms.items()
-                ),
+                conditioning=tuple(conditioning),
+                centers=tuple(term[3] for term in conditioning),
             )
         return self._view_cache
 
@@ -150,7 +156,7 @@ class ProbeTaggedState:
 
     @property
     def is_normalized(self) -> bool:
-        return abs(self.norm_squared - 1.0) < NORM_TOLERANCE
+        return self._view().normalized
 
     def phase_of(self, index: int) -> float:
         return index * self._theta / 2.0
@@ -261,35 +267,50 @@ def homodyne_condition(state: ProbeTaggedState, x: float) -> FockKet | None:
 
     Branches at equal occupation merge coherently after picking up their
     Gaussian weight and measurement-dependent phase.  Returns ``None`` when
-    the outcome has zero density (empty outcome, not an error).
+    conditioning leaves no term (empty outcome, not an error).
 
-    More than 8.9 from every peak the Gaussian weights would push terms
-    under ``PRUNE_THRESHOLD`` before normalizing, so there (while the density
-    is above 0) every amplitude is first scaled by one power of two.  That is
-    exact: wherever nothing was pruned the normalized ket keeps its bits.
+    More than 8.9 from every peak the Gaussian weights would push terms under
+    ``PRUNE_THRESHOLD`` before normalizing, so there every amplitude is first
+    scaled by one power of two (at most 2^1023) while the nearest peak's weight
+    ``exp(-offset^2 / 4)`` is above 0: to about 54.6 from it, though the density
+    is 0 from about 38.6.  The scaling keeps the bits wherever nothing was pruned.
     """
+    terms = _conditioned_terms(state, x)
+    return FockKet._from_valid(state.register, terms) if terms else None
+
+
+def _conditioned_terms(state: ProbeTaggedState, x: float) -> dict[tuple[int, ...], complex]:
+    """The terms of :func:`homodyne_condition`, pruned and normalized as its ket; empty for ``None``."""
     _require_finite(x)
     view = state._view()
-    terms = view.conditioning
-    # distance to the nearest homodyne peak (inf without branches)
+    # the terms whose weight can be above 0.0, back in their order
+    lo = bisect.bisect_left(view.centers, x - _ZERO_WEIGHT_OFFSET)
+    hi = bisect.bisect_right(view.centers, x + _ZERO_WEIGHT_OFFSET)
+    terms = sorted(view.conditioning[lo:hi])
+    # distance to the nearest homodyne peak below and above x (inf where none)
     i = bisect.bisect(view.centers, x)
-    near = view.centers[max(i - 1, 0) : i + 1]
-    nearest = min(abs(x - near[0]), abs(x - near[-1])) if near else math.inf
-    if nearest > _TAIL_OFFSET and homodyne_pdf(state, x) > 0.0:
-        scale = math.ldexp(1.0, -math.frexp(math.exp(-0.25 * nearest * nearest))[1])
-        terms = [(occ, amp * scale, center, rate) for occ, amp, center, rate in terms]
+    below = x - view.centers[i - 1] if i else math.inf
+    above = view.centers[i] - x if i < len(view.centers) else math.inf
+    nearest = min(below, above)
+    if nearest > _TAIL_OFFSET and (weight := math.exp(-0.25 * nearest * nearest)) > 0.0:
+        # a subnormal weight would need a scale past the largest double
+        scale = math.ldexp(1.0, min(-math.frexp(weight)[1], 1023))
+        terms = [(i, occ, amp * scale, center, rate, bound * scale) for i, occ, amp, center, rate, bound in terms]
     out: dict[tuple[int, ...], complex] = {}
-    for occ, amp, center, rate in terms:
+    for _, occ, amp, center, rate, bound in terms:
         offset = x - center
         weight = math.exp(-0.25 * offset * offset)
-        if weight == 0.0:
+        if weight == 0.0 or weight * bound < _NEGLIGIBLE:
             continue
         factor = weight * complex(math.cos(rate * offset), math.sin(rate * offset))
         out[occ] = out.get(occ, 0.0) + amp * factor
-    conditioned = FockKet._from_valid(state.register, out)
-    if conditioned.norm_squared == 0.0:
-        return None
-    return conditioned.normalized()
+    # as FockKet._from_valid(register, out).normalized(): prune, sum the norm, scale, prune
+    norm_squared = sum(abs(a) ** 2 for a in out.values() if not abs(a) < PRUNE_THRESHOLD)
+    if norm_squared == 0.0:
+        return {}
+    scale = complex(1.0 / math.sqrt(norm_squared))
+    return {occ: amp for occ, a in out.items()
+            if not abs(a) < PRUNE_THRESHOLD and not abs(amp := a * scale) < PRUNE_THRESHOLD}
 
 
 def discrimination_error(alpha: float, theta: float) -> float:
@@ -324,27 +345,27 @@ def sample_homodyne(state: ProbeTaggedState, rng) -> HomodyneOutcome:
     group's unit-variance Gaussian; conditioning uses the full mixture, so
     the conditional includes any overlap from neighbouring groups.
     """
-    x, group, conditional = _draw_homodyne(state, rng)
-    return HomodyneOutcome(x, group, conditional, homodyne_pdf(state, x))
+    x, group, terms = _draw_homodyne(state, rng)
+    return HomodyneOutcome(x, group, FockKet._from_valid(state.register, terms), homodyne_pdf(state, x))
 
 
-def _draw_homodyne(state: ProbeTaggedState, rng) -> tuple[float, int, FockKet]:
-    """:func:`sample_homodyne` as ``(x, interval index, conditional)``, without the density.
+def _draw_homodyne(state: ProbeTaggedState, rng) -> tuple[float, int, dict[tuple[int, ...], complex]]:
+    """:func:`sample_homodyne` as ``(x, interval index, conditioned terms)``, without the density.
 
     The readouts that draw (the GHZ readout, sampled detection) read no density.
     """
-    if not state.is_normalized:
+    view = state._view()
+    if not view.normalized:
         raise ValueError("sampling needs a normalized probe-tagged state")
     rng = make_rng(rng)
-    view = state._view()
     draw = rng.random() * view.group_total
     acc = 0.0
     for chosen, weight, center in view.groups:
         acc += weight
         if draw < acc:
             break
-    x = float(rng.normal(loc=center, scale=1.0))
-    conditional = homodyne_condition(state, x)
-    if conditional is None:
+    x = float(rng.normal(center, 1.0))
+    terms = _conditioned_terms(state, x)
+    if not terms:
         raise ValueError("sampled outcome has zero density; state inconsistent")
-    return x, abs(chosen), conditional
+    return x, abs(chosen), terms

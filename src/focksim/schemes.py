@@ -18,11 +18,11 @@ from functools import cache
 from .elements import ModeTransform, apply_circuit, bs_unbalanced, pbs, polarization_rotation
 from .fock import FockKet, ModeRegister, _Selection, expand_bilinear_power
 from .kerr import (
+    _conditioned_terms,
     _draw_homodyne,
     apply_cross_kerr,
     apply_probe_phase,
     attach_probe,
-    homodyne_condition,
     make_rng,
     peak_center,
     repair_phase,
@@ -33,6 +33,7 @@ SCHEME_SPATIALS = ("c1", "c2", "c3", "d1", "d2", "d3")
 scheme_register = ModeRegister.polarized(*SCHEME_SPATIALS)
 # the post-selection of the preparation, which the extraction circuit needs of its input
 _ONE_PHOTON_PER_MODE = {spatial: 1 for spatial in SCHEME_SPATIALS}
+_C1_H = scheme_register.index("c1", "H")  # the mode whose phase the GHZ repair turns
 
 # Kerr cell strengths on the tapped horizontal paths, in base-phase units,
 # ordered as SCHEME_SPATIALS; the probe gate then rewinds 12 base units.
@@ -134,36 +135,46 @@ def build_psi_theta(theta: float) -> SchemeResult:
     )
 
 
-def psi_theta_reference(theta: float) -> FockKet:
-    """The prepared state built directly from its closed-form coefficients.
+# (closed-form coefficient, signed pattern pair, c and d path assignments) per term group
+_REFERENCE_GROUPS = (
+    (lambda c, s: c**3, (("HHHVVV", 1.0), ("VVVHHH", -1.0)), _ID_C, _ID_D),
+    (lambda c, s: s**3, (("HHHHHH", 1.0), ("VVVVVV", 1.0)), _ID_C, _ID_D),
+    (lambda c, s: c * (2 * s * s - c * c) / 3.0, (("HHVVVH", 1.0), ("VVHHHV", -1.0)), _C_PERMS, _D_PERMS),
+    (lambda c, s: s * (s * s - 2 * c * c) / 3.0, (("HHVHHV", 1.0), ("VVHVVH", 1.0)), _C_PERMS, _D_PERMS),
+    (lambda c, s: c * c * s, (("HHVVVV", 1.0), ("VVHHHH", 1.0)), _C_PERMS, _ID_D),
+    (lambda c, s: c * c * s, (("HHHVVH", 1.0), ("VVVHHV", 1.0)), _ID_C, _D_PERMS),
+    (lambda c, s: c * s * s, (("HHHHHV", 1.0), ("VVVVVH", -1.0)), _ID_C, _D_PERMS),
+    (lambda c, s: -c * s * s, (("HHVHHH", 1.0), ("VVHVVV", -1.0)), _C_PERMS, _ID_D),
+)
 
-    Independent of the pipeline: polarization patterns and their cyclic
-    path assignments are written out term by term and normalized.
-    """
-    c, s = math.cos(theta), math.sin(theta)
-    groups = (
-        (c**3, (("HHHVVV", 1.0), ("VVVHHH", -1.0)), _ID_C, _ID_D),
-        (s**3, (("HHHHHH", 1.0), ("VVVVVV", 1.0)), _ID_C, _ID_D),
-        (c * (2 * s * s - c * c) / 3.0, (("HHVVVH", 1.0), ("VVHHHV", -1.0)), _C_PERMS, _D_PERMS),
-        (s * (s * s - 2 * c * c) / 3.0, (("HHVHHV", 1.0), ("VVHVVH", 1.0)), _C_PERMS, _D_PERMS),
-        (c * c * s, (("HHVVVV", 1.0), ("VVHHHH", 1.0)), _C_PERMS, _ID_D),
-        (c * c * s, (("HHHVVH", 1.0), ("VVVHHV", 1.0)), _ID_C, _D_PERMS),
-        (c * s * s, (("HHHHHV", 1.0), ("VVVVVH", -1.0)), _ID_C, _D_PERMS),
-        (-c * s * s, (("HHVHHH", 1.0), ("VVHVVV", -1.0)), _C_PERMS, _ID_D),
-    )
-    terms: dict[tuple[int, ...], complex] = {}
-    for coeff, patterns, c_perms, d_perms in groups:
+
+@cache
+def _reference_layout() -> tuple[tuple[tuple[int, ...], int, float], ...]:
+    """``(occupation, coefficient index, sign)`` of every term the reference sums, in order."""
+    layout = []
+    for group, (_, patterns, c_perms, d_perms) in enumerate(_REFERENCE_GROUPS):
         for pattern, sign in patterns:
             for c_perm in c_perms:
                 for d_perm in d_perms:
                     occ = [0] * len(scheme_register)
-                    for path, pol in zip(c_perm, pattern[:3]):
+                    for path, pol in zip(c_perm + d_perm, pattern):
                         occ[scheme_register.index(path, pol)] += 1
-                    for path, pol in zip(d_perm, pattern[3:]):
-                        occ[scheme_register.index(path, pol)] += 1
-                    key = tuple(occ)
-                    terms[key] = terms.get(key, 0.0) + 0.5 * coeff * sign
-    return FockKet(scheme_register, terms).normalized()
+                    layout.append((tuple(occ), group, sign))
+    return tuple(layout)
+
+
+def psi_theta_reference(theta: float) -> FockKet:
+    """The prepared state built directly from its closed-form coefficients.
+
+    Independent of the pipeline: polarization patterns and their cyclic path
+    assignments are written out term by term (laid out once) and normalized.
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    coeffs = [coeff(c, s) for coeff, *_ in _REFERENCE_GROUPS]
+    terms: dict[tuple[int, ...], float] = {}
+    for key, group, sign in _reference_layout():
+        terms[key] = terms.get(key, 0.0) + 0.5 * coeffs[group] * sign
+    return FockKet._from_valid(scheme_register, {key: complex(amp) for key, amp in terms.items()}).normalized()
 
 
 def spin_flip(state: FockKet, spatials) -> FockKet:
@@ -320,8 +331,8 @@ class GhzReadout:
     to the scheme modes.  A relabelling keeps every amplitude exactly, which
     is checked, so each traced amplitude names the occupation it started
     from.  Construction builds one map per interval, which adds that
-    interval's spin flips; reading out a conditioned ket then costs one
-    pass over its terms.
+    interval's spin flips.  An outcome then takes one pass from its
+    conditioned terms to the corrected ket, the one ket it builds.
     """
 
     def __init__(self, state: FockKet, alpha: float, theta: float):
@@ -338,24 +349,13 @@ class GhzReadout:
             for interval in self.table.intervals
         ]
 
-    def _repair(self, conditioned: FockKet, x: float) -> tuple[FockKet, int]:
-        """Relabel a conditioned ket into the scheme modes and repair its phase."""
+    def _repair(self, terms: dict[tuple[int, ...], complex], x: float) -> tuple[FockKet, int]:
+        """The corrected ket of conditioned terms, each relabelled, phased and pruned in one pass."""
         table = self.table
         interval = table.lookup(x)
         relabel = self._maps[interval.index]
         phi = repair_phase(table.alpha, interval.branch * table.theta, x)
-        if phi == 0.0:
-            terms = {relabel[occ]: amp for occ, amp in conditioned.items()}
-        else:
-            # after the flips the surviving pair is the uniform one; a phase of
-            # -2 phi on the H mode of the first output cancels the relative phase
-            h_index = scheme_register.index("c1", "H")
-            terms = {}
-            for occ, amp in conditioned.items():
-                target = relabel[occ]
-                angle = 2.0 * phi * target[h_index]
-                terms[target] = amp * complex(math.cos(angle), -math.sin(angle))
-        return FockKet._from_valid(scheme_register, terms), interval.index
+        return FockKet._from_valid(scheme_register, _repaired(terms, relabel, phi)), interval.index
 
     def condition(self, x: float) -> tuple[FockKet | None, int]:
         """Corrected state and interval index for the quadrature outcome ``x``.
@@ -363,16 +363,13 @@ class GhzReadout:
         The state is ``None`` when ``x`` has no support: conditioning leaves no term.
         """
         x = float(x)
-        conditioned = homodyne_condition(self._tagged, x)
-        if conditioned is None:
-            return None, self.table.lookup(x).index
-        return self._repair(conditioned, x)
+        terms = _conditioned_terms(self._tagged, x)
+        return self._repair(terms, x) if terms else (None, self.table.lookup(x).index)
 
     def sample(self, rng) -> tuple[FockKet, int, float]:
         """Draw one outcome: ``(corrected state, interval index, x)``."""
-        x, _, conditional = _draw_homodyne(self._tagged, rng)
-        corrected, index = self._repair(conditional, x)
-        return corrected, index, x
+        x, _, terms = _draw_homodyne(self._tagged, rng)
+        return (*self._repair(terms, x), x)
 
     def probabilities(self) -> tuple[float, ...]:
         """Exact probability of each homodyne interval."""
@@ -389,12 +386,19 @@ class GhzReadout:
         return tuple(probabilities)
 
 
+def _repaired(terms: dict, relabel: dict, phi: float):
+    """Each term relabelled and, for ``phi != 0``, turned by ``-2 phi`` per photon in ``c1 H``,
+    which cancels the relative phase of the surviving pair (uniform after the flips)."""
+    for occ, amp in terms.items():
+        target = relabel[occ]
+        if phi:
+            angle = 2.0 * phi * target[_C1_H]
+            amp = amp * complex(math.cos(angle), -math.sin(angle))
+        yield target, amp
+
+
 def ghz_circuit(
-    state: FockKet,
-    alpha: float,
-    theta: float,
-    x: float | None = None,
-    rng=None,
+    state: FockKet, alpha: float, theta: float, x: float | None = None, rng=None
 ) -> tuple[FockKet | None, int]:
     """Project the prepared state onto the uniform-polarization pair.
 
@@ -414,16 +418,13 @@ def ghz_circuit(
 
 
 def sample_ghz_circuit(
-    state: FockKet,
-    alpha: float,
-    theta: float,
-    rng,
-    samples: int,
+    state: FockKet, alpha: float, theta: float, rng, samples: int
 ) -> list[tuple[FockKet, int, float]]:
     """Draw repeated homodyne outcomes from one tapped state.
 
     Returns ``(corrected state, interval index, x)`` per draw; the readout
-    is compiled once, so a draw costs one conditioning and one relabelling.
+    is compiled once, so a draw is one pass from outcome to corrected ket,
+    and builds that one ket.
     """
     readout = GhzReadout(state, alpha, theta)
     rng = make_rng(rng)

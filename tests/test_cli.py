@@ -286,6 +286,7 @@ GHZ_DIGESTS = {
 
 # the same for the detector readout; with an odd grid the middle point is
 # exactly the threshold x0 = alpha (1 + cos theta), which reads interval 1
+SWEEP_ARGS = ("m0=0.6", "n0=0.3", "grid=201")
 SWEEP_DIGEST = "8e413a3cd0fe3f0d8fc1180caaedef0f2e1fa4ab4bffc56c8c87f7091d8a4c62"
 
 
@@ -298,7 +299,7 @@ def test_ghz_circuit_output_bytes_are_pinned(out_dir, args):
 
 
 def test_homodyne_sweep_output_bytes_are_pinned(out_dir):
-    assert run_cli("run", "homodyne-sweep", "m0=0.6", "n0=0.3", "grid=201") == 0
+    assert run_cli("run", "homodyne-sweep", *SWEEP_ARGS) == 0
     csv = out_dir / "homodyne-sweep.csv"
     assert csv.read_text().splitlines()[101].split(",")[2] == "1"
     digest = hashlib.sha256(csv.read_bytes() + (out_dir / "homodyne-sweep.csv.meta").read_bytes())

@@ -245,3 +245,57 @@ def test_sampled_detection_matches_old_draw_path(seed):
         assert (outcome.measured_x, outcome.branch) == (x, branch)
         assert outcome.probability == (p_symmetric if branch == "symmetric" else 1.0 - p_symmetric)
         assert bits(outcome.state) == bits(repaired)
+
+
+# -- conditioning, against the pass over every term that built two kets -----
+
+
+def old_homodyne_condition(state, x):
+    """``homodyne_condition`` as it was written: every term weighed, two kets built.
+
+    Its tail guard read the density, which underflows from about 38.6 from
+    every peak; within 38 of a peak that guard and the amplitude weight agree.
+    """
+    nearest = min(abs(x - center) for _, _, center in state.phase_groups())
+    terms = [
+        (occ, amp, peak_center(state.alpha, state.phase_of(idx)), state.alpha * math.sin(state.phase_of(idx)))
+        for (occ, idx), amp in state.items()
+    ]
+    if nearest > math.sqrt(80.0) and homodyne_pdf(state, x) > 0.0:
+        scale = math.ldexp(1.0, -math.frexp(math.exp(-0.25 * nearest * nearest))[1])
+        terms = [(occ, amp * scale, center, rate) for occ, amp, center, rate in terms]
+    out = {}
+    for occ, amp, center, rate in terms:
+        offset = x - center
+        weight = math.exp(-0.25 * offset * offset)
+        if weight == 0.0:
+            continue
+        factor = weight * complex(math.cos(rate * offset), math.sin(rate * offset))
+        out[occ] = out.get(occ, 0.0) + amp * factor
+    conditioned = FockKet._from_valid(state.register, out)
+    if conditioned.norm_squared == 0.0:
+        return None
+    return conditioned.normalized()
+
+
+@pytest.fixture(scope="module")
+def tagged_states(readout, weak_readout):
+    detector = [detector_probe_state(twin_beam_state(PAIR), *probe) for probe in ((20.0, 0.2), (ALPHA, THETA))]
+    # two occupations at two probe phases each: the terms of one merge, and the
+    # first term of the other weighs 0.0 where the second does not
+    shared = ProbeTaggedState(
+        TWO, {((0, 1), -40): 0.36 + 0.2j, ((1, 0), 0): 0.6, ((0, 1), 0): 0.48j, ((1, 0), 2): -0.48}, 20.0, 0.2
+    )
+    return [readout._tagged, weak_readout._tagged, *detector, shared]
+
+
+def test_conditioning_matches_the_full_pass(tagged_states):
+    # the fused pass weighs only the terms within 60 of x, skips those the
+    # prune would drop and builds no ket; every outcome within 38 of a peak
+    for tagged in tagged_states:
+        for _, _, center in tagged.phase_groups():
+            for step in range(-345, 346):
+                x = center + step * 0.11
+                new, old = homodyne_condition(tagged, x), old_homodyne_condition(tagged, x)
+                assert (new is None) == (old is None)
+                assert new is None or bits(new) == bits(old)

@@ -74,15 +74,29 @@ class TestAttachProbe:
         groups = tuple(
             (idx, weight, peak_center(500.0, tagged.phase_of(idx))) for idx, weight in sorted(weights.items())
         )
+        occupations = [occ for (occ, _), _ in tagged.items()]
         conditioning = tuple(
-            (occ, amp, peak_center(500.0, tagged.phase_of(idx)), 500.0 * math.sin(tagged.phase_of(idx)))
-            for (occ, idx), amp in tagged.items()
+            (
+                i,
+                occ,
+                amp,
+                peak_center(500.0, tagged.phase_of(idx)),
+                500.0 * math.sin(tagged.phase_of(idx)),
+                abs(amp) if occupations.count(occ) == 1 else math.inf,
+            )
+            for i, ((occ, idx), amp) in enumerate(tagged.items())
         )
-        assert tagged.norm_squared == sum(abs(amp) ** 2 for _, amp in tagged.items())
+        norm_squared = sum(abs(amp) ** 2 for _, amp in tagged.items())
+        assert tagged.norm_squared == norm_squared
+        assert tagged.is_normalized == (abs(norm_squared - 1.0) < 1e-12)
         assert tagged.phase_groups() == groups
         view = tagged._view()
-        assert view.conditioning == conditioning
-        assert view.centers == tuple(sorted(center for _, _, center in groups))
+        assert view.normalized == tagged.is_normalized
+        # the terms by ascending peak centre, ties in term order
+        by_center = tuple(sorted(conditioning, key=lambda term: (term[3], term[0])))
+        assert view.conditioning == by_center
+        assert view.centers == tuple(term[3] for term in by_center)
+        assert set(view.centers) == {center for _, _, center in groups}
 
     def test_group_weights_build_no_readout_view(self):
         # a forced detection reads only these weights
@@ -248,11 +262,26 @@ class TestHomodyneConditioning:
         assert conditioned is not None and conditioned.is_normalized
         assert conditioned.fidelity(tagged.branch(0)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_outcome_where_only_the_density_underflows_is_empty(self):
+    def test_outcome_where_only_the_density_underflows_conditions_to_branch_0(self):
         # exp(-45^2 / 4) is a normal double, exp(-45^2 / 2) is not
         tagged = tagged_detector_state(0.5, 0.5)
         assert homodyne_pdf(tagged, 2000.0 + 45.0) == 0.0
-        assert homodyne_condition(tagged, 2000.0 + 45.0) is None
+        conditioned = homodyne_condition(tagged, 2000.0 + 45.0)
+        assert conditioned is not None and conditioned.is_normalized
+        assert conditioned.fidelity(tagged.branch(0)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_no_far_tail_outcome_raises(self):
+        # past about 53.3 the nearest weight exp(-offset^2 / 4) is subnormal, and
+        # one power of two lifting it to 1 would overflow; past about 54.6 it is 0
+        tagged = tagged_detector_state(0.5, 0.5)
+        centers = [center for _, _, center in tagged.phase_groups()]
+        for step in range(0, 241):
+            offset = 38.0 + step / 10.0
+            for x in (max(centers) + offset, min(centers) - offset):
+                conditioned = homodyne_condition(tagged, x)
+                assert conditioned is None or conditioned.is_normalized
+        assert homodyne_condition(tagged, max(centers) + 54.0) is not None
+        assert homodyne_condition(tagged, max(centers) + 55.0) is None
 
     @pytest.mark.parametrize("side, offset", [(1, 9.0), (1, 9.5), (1, 10.0), (-1, 9.5), (-1, 10.0)])
     def test_tail_rescaling_keeps_the_bits_where_nothing_was_pruned(self, side, offset):

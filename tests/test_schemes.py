@@ -239,14 +239,23 @@ class TestGhzCircuit:
             assert corrected.fidelity(target) > 1.0 - 1e-9
 
     def test_far_tail_outcome_is_decoded(self):
-        # beyond the top peak by 12 (density 1.2e-33) and by 38 (density below
-        # 1e-300, where conditioning still leaves terms and is exact)
+        # beyond the top peak by 12 (density 1.2e-33), by 38 (density below
+        # 1e-300) and by 40 to 53, where the density exp(-offset^2 / 2) is 0
+        # but the amplitude weight exp(-offset^2 / 4) is not: conditioning
+        # still leaves terms and is exact
         readout = GhzReadout(build_psi_theta(HALF_PI).state, ALPHA, THETA)
-        for offset in (12.0, 38.0):
+        for offset in (12.0, 38.0, 40.0, 45.0, 53.0):
             corrected, index = readout.condition(2.0 * ALPHA + offset)
             assert index == 9
             assert corrected is not None and corrected.is_normalized
-            assert corrected.fidelity(ghz_state()) > 1.0 - 1e-9
+            assert corrected.fidelity(ghz_state()) >= 1.0 - 1e-12
+
+    def test_no_far_tail_outcome_raises(self):
+        readout = GhzReadout(build_psi_theta(HALF_PI).state, ALPHA, THETA)
+        for step in range(0, 61):
+            corrected, index = readout.condition(2.0 * ALPHA + step)
+            assert index == 9
+            assert corrected is None or corrected.is_normalized
 
     def test_unsupported_outcome_is_empty(self):
         state = build_psi_theta(HALF_PI).state
@@ -342,19 +351,31 @@ def per_draw_readout(conditioned, x, table, splitters):
     return repaired, interval.index
 
 
+def bits(ket: FockKet) -> list:
+    """Terms in order with the exact bits of each amplitude (signed zeros too)."""
+    return [(occ, amp.real.hex(), amp.imag.hex()) for occ, amp in ket.items()]
+
+
+# probe settings for the readout checks below: the default one, and a weak
+# probe whose peaks sit close enough that nearly every interval edge lies
+# within 9 of a peak
+PROPERTY_PROBES = ((ALPHA, THETA), (20.0, 0.2))
+
+
 class TestCompiledReadout:
     def test_sampled_draws_match_per_draw_readout(self):
         state = build_psi_theta(HALF_PI).state
-        table = decode_table(ALPHA, THETA)
-        tagged, splitters = tagged_circuit_state(state, ALPHA, THETA)
-        compiled = sample_ghz_circuit(state, ALPHA, THETA, make_rng(2024), 300)
-        rng = make_rng(2024)
-        for corrected, interval, x in compiled:
-            outcome = sample_homodyne(tagged, rng)
-            expected, expected_interval = per_draw_readout(outcome.conditional, outcome.x, table, splitters)
-            assert x == outcome.x
-            assert interval == expected_interval
-            assert list(corrected.items()) == list(expected.items())
+        for probe in PROPERTY_PROBES:
+            table = decode_table(*probe)
+            tagged, splitters = tagged_circuit_state(state, *probe)
+            compiled = sample_ghz_circuit(state, *probe, make_rng(2024), 1000)
+            rng = make_rng(2024)
+            for corrected, interval, x in compiled:
+                outcome = sample_homodyne(tagged, rng)
+                expected, expected_interval = per_draw_readout(outcome.conditional, outcome.x, table, splitters)
+                assert x == outcome.x
+                assert interval == expected_interval
+                assert bits(corrected) == bits(expected)
 
     def test_exact_outcomes_match_per_draw_readout(self):
         state = build_psi_theta(HALF_PI).state
@@ -368,13 +389,7 @@ class TestCompiledReadout:
                     homodyne_condition(tagged, x), x, table, splitters
                 )
                 assert index == expected_index
-                assert list(corrected.items()) == list(expected.items())
-
-
-# probe settings for the property below: the default one, and a weak probe
-# whose peaks sit close enough that nearly every interval edge lies within
-# 9 of a peak
-PROPERTY_PROBES = ((ALPHA, THETA), (20.0, 0.2))
+                assert bits(corrected) == bits(expected)
 
 
 def _outcomes_near_peaks(alpha, theta):
@@ -413,7 +428,7 @@ def test_condition_matches_per_draw_readout_near_every_peak(readouts, data):
         homodyne_condition(tagged, x), x, decode_table(*probe), splitters
     )
     assert index == expected_index
-    assert list(corrected.items()) == list(expected.items())
+    assert bits(corrected) == bits(expected)
 
 
 # -- the decode table as it was built before the branch census derived it --

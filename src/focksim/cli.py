@@ -58,7 +58,7 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class Param:
     name: str
-    kind: str  # "float" | "int" | "str"
+    kind: type  # float, int or str; parses the raw text
     required: bool = False
     default: object = None
     doc: str = ""
@@ -88,15 +88,10 @@ class Experiment:
 
 def _parse_value(param: Param, raw: str):
     try:
-        if param.kind == "float":
-            value = float(raw)
-        elif param.kind == "int":
-            return int(raw)
-        else:
-            return raw
+        value = param.kind(raw)
     except ValueError:
-        raise ConfigError(f"parameter {param.name!r} expects a {param.kind}, got {raw!r}") from None
-    if not math.isfinite(value):
+        raise ConfigError(f"parameter {param.name!r} expects a {param.kind.__name__}, got {raw!r}") from None
+    if param.kind is float and not math.isfinite(value):
         raise ConfigError(f"parameter {param.name!r} must be finite, got {raw!r}")
     return value
 
@@ -164,7 +159,17 @@ def typed_params(experiment: Experiment, values: dict[str, str]) -> dict:
 def _check_detector(typed: dict) -> list[str]:
     if typed["m0"] == 0.0 and typed["n0"] == 0.0:
         return ["parameters 'm0' and 'n0' must not both be zero"]
-    return []
+    try:
+        # rescaled as the run rescales it, which near the ends of the double
+        # range divides by zero, overflows or misses m^2 + n^2 = 1/2
+        if _normalized_pair(typed).is_normalized:
+            return []
+    except ArithmeticError:
+        pass
+    return [
+        "parameters 'm0' and 'n0' cannot be rescaled to m^2 + n^2 = 1/2 in double precision "
+        f"(m0={typed['m0']!r}, n0={typed['n0']!r})"
+    ]
 
 
 # -- experiment runners ---------------------------------------------------
@@ -236,22 +241,21 @@ def run_psi_theta(typed: dict) -> list[tuple]:
 
 def _check_ghz(typed: dict) -> list[str]:
     errors = []
-    try:
-        table = decode_table(typed["alpha"], typed["theta"])
-        # the readout evaluates each peak's density at every other peak
-        peaks = [table.peak_center(interval) for interval in table.intervals]
-        (max(peaks) - min(peaks)) ** 2
-    except ValueError as exc:
-        errors.append(f"parameter 'theta' rejected: {exc}")
-    except OverflowError:
-        errors.append("parameter 'alpha' is too large: the squared peak spread overflows a double")
+    peak = peak_center(typed["alpha"], 0.0)  # the largest homodyne peak, 2*alpha
+    if not math.isfinite(peak):
+        errors.append("parameter 'alpha' is too large: the homodyne peak 2*alpha overflows a double")
+    else:
+        try:
+            decode_table(typed["alpha"], typed["theta"])
+        except ValueError as exc:
+            errors.append(f"parameter 'theta' rejected: {exc}")
     if typed.get("seed", 0) >= 2**64:
         errors.append("parameter 'seed' must be an unsigned 64-bit integer")
     if typed["samples"] > 0 and typed.get("seed") is None:
         errors.append("parameter 'seed' is required when samples > 0")
     # a draw adds unit-variance noise to a peak near 2*alpha; once that noise
     # falls below the peak's resolution every draw lands on a peak
-    ulp = math.ulp(2.0 * typed["alpha"])
+    ulp = math.ulp(peak)
     if typed["samples"] > 0 and ulp > 2.0**-20:
         errors.append(
             "parameter 'alpha' must be below 2**32 when samples > 0: a draw's "
@@ -314,7 +318,7 @@ def run_pdc_weights(typed: dict) -> list[tuple]:
 
 def _sweep_grid(typed: dict, points: int) -> np.ndarray:
     alpha = typed["alpha"]
-    top = 2.0 * alpha + 8.0  # at or above the lower end, so it overflows first
+    top = peak_center(alpha, 0.0) + 8.0  # at or above the lower end, so it overflows first
     if not math.isfinite(top):
         raise OverflowError(f"alpha={alpha} is too large: the sweep grid's end 2*alpha + 8 overflows a double")
     return np.linspace(peak_center(alpha, typed["theta"]) - 8.0, top, points)
@@ -326,6 +330,9 @@ def _check_sweep(typed: dict) -> list[str]:
     # (x - peak)**2 is largest at an end of the grid, and linspace puts the
     # ends at the same two points for any size: the run's OverflowError, if any
     tagged = detector_probe_state(twin_beam_state(_normalized_pair(typed)), typed["alpha"], typed["theta"])
+    # a branch's probe phase is index * theta / 2, and the readout takes its cosine
+    if not all(math.isfinite(tagged.phase_of(index)) for index in tagged.group_weights()):
+        return ["parameter 'theta' is too large: a branch's probe phase index * theta / 2 overflows a double"]
     for x in _sweep_grid(typed, 2).tolist():
         homodyne_pdf(tagged, x)
     return []
@@ -350,14 +357,14 @@ def run_homodyne_sweep(typed: dict) -> list[tuple]:
 
 
 _PAIR_PARAMS = (
-    Param("m0", "float", required=True, doc="first twin-beam coefficient (rescaled to m^2+n^2=1/2)"),
-    Param("n0", "float", required=True, doc="second twin-beam coefficient"),
+    Param("m0", float, required=True, doc="first twin-beam coefficient (rescaled to m^2+n^2=1/2)"),
+    Param("n0", float, required=True, doc="second twin-beam coefficient"),
 )
 _PROBE_PARAMS = (
-    Param("alpha", "float", default=1000.0, doc="coherent probe amplitude", min=0),
-    Param("theta", "float", default=0.1, doc="base Kerr phase in radians", above=0),
+    Param("alpha", float, default=1000.0, doc="coherent probe amplitude", min=0),
+    Param("theta", float, default=0.1, doc="base Kerr phase in radians", above=0),
 )
-_OUTPUT_PARAM = Param("output", "str", doc="output CSV path (default <experiment>.csv)")
+_OUTPUT_PARAM = Param("output", str, doc="output CSV path (default <experiment>.csv)")
 
 EXPERIMENTS: dict[str, Experiment] = {
     exp.name: exp
@@ -367,7 +374,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             description="iterated symmetry detection, closed form vs simulation",
             columns="k,m_k,n_k,ratio,C_k,step_success_prob,cumulative_prob,fidelity_psi3",
             params=_PAIR_PARAMS
-            + (Param("k", "int", required=True, doc=f"number of detector passes (max {MAX_CASCADE_STEPS})", min=1),)
+            + (Param("k", int, required=True, doc=f"number of detector passes (max {MAX_CASCADE_STEPS})", min=1),)
             + _PROBE_PARAMS
             + (_OUTPUT_PARAM,),
             runner=run_cascade,
@@ -386,7 +393,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             description="six-mode preparation pipeline over a rotation-angle grid",
             columns="theta,postselect_prob,ghz_weight,w_pair_weight,fidelity_vs_reference",
             params=(
-                Param("grid", "int", default=20, doc="number of theta points on [0, pi/2]", min=2),
+                Param("grid", int, default=20, doc="number of theta points on [0, pi/2]", min=2),
                 _OUTPUT_PARAM,
             ),
             runner=run_psi_theta,
@@ -398,8 +405,8 @@ EXPERIMENTS: dict[str, Experiment] = {
             params=(
                 replace(_PROBE_PARAMS[0], min=None, above=0),
                 _PROBE_PARAMS[1],
-                Param("samples", "int", default=0, doc="sampled draws (0 = exact analysis)", min=0),
-                Param("seed", "int", doc="generator seed, required when samples > 0", min=0),
+                Param("samples", int, default=0, doc="sampled draws (0 = exact analysis)", min=0),
+                Param("seed", int, doc="generator seed, required when samples > 0", min=0),
                 _OUTPUT_PARAM,
             ),
             runner=run_ghz_circuit,
@@ -410,9 +417,9 @@ EXPERIMENTS: dict[str, Experiment] = {
             description="pair-order expansion (tau) or six-photon mixture (k)",
             columns="n,amplitude,probability | k,a3,a21,a111",
             params=(
-                Param("tau", "float", doc="squeezing interaction parameter", min=0),
-                Param("n_max", "int", default=80, doc="truncation order of the expansion", min=0),
-                Param("k", "float", doc="pulse-duration ratio for the mixture", min=1),
+                Param("tau", float, doc="squeezing interaction parameter", min=0),
+                Param("n_max", int, default=80, doc="truncation order of the expansion", min=0),
+                Param("k", float, doc="pulse-duration ratio for the mixture", min=1),
                 _OUTPUT_PARAM,
             ),
             runner=run_pdc_weights,
@@ -425,7 +432,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             params=_PAIR_PARAMS
             + _PROBE_PARAMS
             + (
-                Param("grid", "int", default=200, doc="number of quadrature points", min=2),
+                Param("grid", int, default=200, doc="number of quadrature points", min=2),
                 _OUTPUT_PARAM,
             ),
             runner=run_homodyne_sweep,
@@ -447,11 +454,7 @@ def _experiment_for(values: dict[str, str]) -> Experiment:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        raise TypeError("boolean cells are not part of any schema")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format_float(float(value))
+    return str(value) if isinstance(value, int) else format_float(value)
 
 
 def _output_path(experiment: Experiment, typed: dict) -> Path:
@@ -528,7 +531,7 @@ def cmd_list(_: argparse.Namespace) -> int:
         print(f"{name}: {experiment.description}")
         print(f"  columns: {experiment.columns}")
         for param in experiment.params:
-            tags = [param.kind, "required" if param.required else (
+            tags = [param.kind.__name__, "required" if param.required else (
                 f"default {param.default}" if param.default is not None else "optional"
             )]
             if param.min is not None:
@@ -539,7 +542,9 @@ def cmd_list(_: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads its arguments with, built on first use."""
     parser = argparse.ArgumentParser(
         prog="focksim",
         description="deterministic few-photon circuit experiments",
@@ -555,12 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     list_parser = sub.add_parser("list", help="print experiments and their parameters")
     list_parser.set_defaults(func=cmd_list)
     return parser
-
-
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` reads its arguments with, built on first use."""
-    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -47,6 +47,9 @@ Photon number is conserved, so the output occupations of a ket whose terms
 each hold at most ``MAX_OCCUPANCY`` photons are valid by construction and
 the result is built without checking or converting them (see
 :mod:`focksim.fock`); its amplitudes are Python ``complex``, as in every ket.
+A replay that met a term past that cap checks its surviving outputs before
+it returns, so a circuit raises the ``CapacityError`` of the first element
+whose result the checked constructor would refuse.
 """
 
 from __future__ import annotations
@@ -129,27 +132,26 @@ class ModeTransform:
         """Substitute and re-expand every creation operator of the ket."""
         return apply_circuit(ket, (self,))
 
-    def _replay(
-        self, terms: Iterable[tuple[tuple[int, ...], complex]]
-    ) -> tuple[dict[int, complex], bool]:
+    def _replay(self, terms: Iterable[tuple[tuple[int, ...], complex]]) -> dict[int, complex]:
         """Every term's program, summed into one dict keyed by output id.
 
         The dict keeps each id where it first appears, so every output
         amplitude is the same sum, in the same order, as in a dict keyed by
-        the output occupations.  The flag says whether a term held more than
-        ``MAX_OCCUPANCY`` photons.
+        the output occupations.  Past the photon cap (a term held more than
+        ``MAX_OCCUPANCY`` photons) every output that survives pruning is
+        checked, in order, as the public ``FockKet`` constructor checks it.
         """
         out: dict[int, complex] = {}
         get = out.get
         programs = self._programs
-        checked = False
+        over_cap = False
         for occ, amp in terms:
             program = programs.get(occ)
             if program is None:
                 with self._compiling:
                     program = programs[occ] = self._compile(occ)
             divisors, levels, tail, over = program
-            checked = checked or over
+            over_cap = over_cap or over
             for d in divisors:
                 amp /= d
             values = [amp]
@@ -161,33 +163,22 @@ class ModeTransform:
             for src, weight, i, scale in tail:
                 v = values[src] if weight is None else values[src] * weight
                 out[i] = get(i, 0.0) + (v if scale is None else v * scale)
-        return out, checked
-
-    def _outputs(
-        self, out: dict[int, complex], checked: bool
-    ) -> list[tuple[tuple[int, ...], complex]]:
-        """The replayed terms that survive pruning, as ``(occupation, amplitude)`` pairs.
-
-        Past the photon cap every occupation is checked, in order, as the
-        public ``FockKet`` constructor checks it.
-        """
-        occupations = self._occupations
-        terms = [(occupations[i], amp) for i, amp in out.items() if not abs(amp) < PRUNE_THRESHOLD]
-        if checked:
-            for occ, _ in terms:
+        if over_cap:
+            for occ, _ in self._outputs(out):
                 _check_occupation(self._register, occ)
-        return terms
+        return out
 
-    def _selected(
-        self, out: dict[int, complex], checked: bool, selection: _Selection
-    ) -> tuple[FockKet | None, float]:
+    def _outputs(self, out: dict[int, complex]) -> list[tuple[tuple[int, ...], complex]]:
+        """The replayed terms that survive pruning, as ``(occupation, amplitude)`` pairs."""
+        occupations = self._occupations
+        return [(occupations[i], amp) for i, amp in out.items() if not abs(amp) < PRUNE_THRESHOLD]
+
+    def _selected(self, out: dict[int, complex], selection: _Selection) -> tuple[FockKet | None, float]:
         """What ``project`` gives on the ket of :meth:`_outputs`, without building that ket.
 
         Whether an output is kept is decided once per output id and pattern, for
         every id numbered by then, in a list that grows under the compile lock.
         """
-        if checked:
-            self._outputs(out, checked)  # raises where building the ket would
         occupations = self._occupations
         keeps = self._selections.setdefault(selection.key, [])
         if len(keeps) < len(occupations):
@@ -401,11 +392,10 @@ def apply_circuit(
     for element in elements:
         if element.register != register:
             raise ValueError("ket register does not match transform register")
-        terms = ket.items() if last is None else last._outputs(out, checked)
-        out, checked = element._replay(terms)
+        out = element._replay(ket.items() if last is None else last._outputs(out))
         last = element
     if last is None:
         return ket if postselect is None else ket.project(postselect)
     if postselect is None:
-        return FockKet._from_valid(register, last._outputs(out, checked))
-    return last._selected(out, checked, _Selection(register, postselect))
+        return FockKet._from_valid(register, last._outputs(out))
+    return last._selected(out, _Selection(register, postselect))

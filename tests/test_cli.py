@@ -391,7 +391,7 @@ def _past(param) -> str:
     """The nearest value outside the declared bound."""
     if param.min is None:
         return repr(param.above)
-    return str(param.min - 1) if param.kind == "int" else repr(math.nextafter(param.min, -math.inf))
+    return str(param.min - 1) if param.kind is int else repr(math.nextafter(param.min, -math.inf))
 
 
 @pytest.mark.parametrize("experiment, param", list(_bound_cases()))
@@ -503,27 +503,78 @@ def test_validate_finds_the_run_time_overflow(out_dir, capsys, tmp_path_factory,
     assert captured.err.startswith(message) and captured.out == ""
 
 
-@pytest.mark.parametrize("samples", ["0", "10"])
-def test_ghz_probe_whose_peak_spread_overflows_is_rejected(out_dir, capsys, tmp_path_factory, samples):
-    args = ("ghz-circuit", "alpha=1e200", f"samples={samples}", "seed=1")
+def assert_rejected(args: tuple, message: str, out_dir, capsys, tmp_path_factory) -> None:
+    """``run`` and ``validate`` both exit 2 with ``message``, with no traceback and no output file."""
     assert run_cli("run", *args) == 2
     err = capsys.readouterr().err
-    assert "parameter 'alpha' is too large" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
     assert not any(out_dir.iterdir())
     config = tmp_path_factory.mktemp("config") / "job.cfg"
-    config.write_text("experiment = ghz-circuit\n" + "".join(f"{a.replace('=', ' = ')}\n" for a in args[1:]))
+    config.write_text(f"experiment = {args[0]}\n" + "".join(f"{a.replace('=', ' = ')}\n" for a in args[1:]))
     assert run_cli("validate", str(config)) == 2
-    assert "parameter 'alpha' is too large" in capsys.readouterr().out
+    assert message in capsys.readouterr().out
 
 
-def test_ghz_peak_spread_rule_leaves_no_density_overflow(out_dir):
-    # at theta = 0.1 the outermost peaks' (x - peak)**2 first overflows a
-    # double within a few ulps of 1.0513581890216921e154: around it every
-    # run completes or is rejected up front, and none overflows
-    below = 1.0513581890216921e154
-    alphas = [below * (1.0 + step * 1e-13) for step in (-5, -1, 0, 1, 5)]
-    codes = [run_cli("run", "ghz-circuit", f"alpha={alpha!r}") for alpha in alphas]
-    assert codes[0] == 0 and codes[-1] == 2 and codes == sorted(codes)
+@pytest.mark.parametrize("samples", ["0", "10"])
+def test_ghz_probe_whose_peak_overflows_is_rejected(out_dir, capsys, tmp_path_factory, samples):
+    # 2*alpha, the largest homodyne peak, is not a finite double
+    for alpha in ("9e307", "1e308"):
+        args = ("ghz-circuit", f"alpha={alpha}", f"samples={samples}", "seed=1")
+        assert_rejected(args, "parameter 'alpha' is too large", out_dir, capsys, tmp_path_factory)
+
+
+def test_ghz_peak_rule_rejects_from_the_first_infinite_peak(out_dir):
+    # the largest double whose 2*alpha is finite runs exact; the next one is rejected
+    largest = 8.988465674311579e307
+    beyond = math.nextafter(largest, math.inf)
+    assert math.isfinite(2.0 * largest) and not math.isfinite(2.0 * beyond)
+    assert run_cli("run", "ghz-circuit", f"alpha={largest!r}") == 0
+    _, rows = read_csv(out_dir / "ghz-circuit.csv")
+    assert all(row[5] == "1" for row in rows)
+    assert run_cli("run", "ghz-circuit", f"alpha={beyond!r}") == 2
+
+
+@pytest.mark.parametrize("alpha", ["1e200", "8.9e307"])
+def test_exact_ghz_readout_holds_up_to_the_peak_rule(out_dir, tmp_path_factory, capsys, alpha):
+    # the peaks are far apart but finite: every interval decodes as at small alpha
+    assert run_cli("run", "ghz-circuit", f"alpha={alpha}") == 0
+    _, rows = read_csv(out_dir / "ghz-circuit.csv")
+    probabilities = [float(row[4]) for row in rows]
+    assert probabilities == pytest.approx([0.5] + [1 / 18] * 9, abs=1e-12)
+    assert [float(row[5]) for row in rows] == pytest.approx([1.0] * 10, abs=1e-12)
+    config = tmp_path_factory.mktemp("config") / "job.cfg"
+    config.write_text(f"experiment = ghz-circuit\nalpha = {alpha}\n")
+    assert run_cli("validate", str(config)) == 0
+    assert capsys.readouterr().out.endswith("ok\n")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("cascade", "m0=1e-320", "n0=0", "k=3"),
+        ("symmetry-detect", "m0=1e-320", "n0=0"),
+        ("homodyne-sweep", "m0=1e-320", "n0=0"),
+        ("cascade", "m0=1e-160", "n0=0", "k=3"),
+        ("cascade", "m0=1e200", "n0=0", "k=3"),
+    ],
+    ids=["cascade-zero-division", "symmetry-detect", "homodyne-sweep", "cascade-subnormal", "cascade-overflow"],
+)
+def test_pair_that_cannot_be_rescaled_is_rejected(out_dir, capsys, tmp_path_factory, args):
+    message = "parameters 'm0' and 'n0' cannot be rescaled"
+    assert_rejected(args, message, out_dir, capsys, tmp_path_factory)
+
+
+@pytest.mark.parametrize("m0", ["1e-150", "1e150"])
+def test_pair_far_from_the_unit_circle_is_rescaled(out_dir, m0):
+    assert run_cli("run", "cascade", f"m0={m0}", "n0=0", "k=3") == 0
+
+
+def test_sweep_theta_whose_probe_phase_overflows_is_rejected(out_dir, capsys, tmp_path_factory):
+    args = ("homodyne-sweep", "m0=0.6", "n0=0.3", "theta=9e307")
+    assert_rejected(args, "parameter 'theta' is too large", out_dir, capsys, tmp_path_factory)
+    assert run_cli("run", "homodyne-sweep", "m0=0.6", "n0=0.3", "theta=8e307") == 0
+    # forced detection evaluates no probe phase, so the cascade runs
+    assert run_cli("run", "cascade", "m0=0.6", "n0=0.3", "k=3", "theta=9e307") == 0
 
 
 @pytest.mark.parametrize("alpha", ["1e200", "4294967296"])
@@ -543,7 +594,9 @@ def test_sampled_run_rejects_a_probe_beyond_double_resolution(
     assert "parameter 'alpha'" in capsys.readouterr().out
 
 
-def test_sampled_run_keeps_its_noise_just_below_the_bound(out_dir):
-    # ulp(2*alpha) is 2**-20 here; the rule leaves exact runs to the peak-spread rule
+def test_sampled_run_keeps_its_noise_just_below_the_bound(out_dir, capsys):
+    # ulp(2*alpha) is 2**-20 here; the rule holds only for sampled runs
     assert run_cli("run", "ghz-circuit", "alpha=4294967295", "samples=10", "seed=1") == 0
-    assert run_cli("run", "ghz-circuit", "alpha=1e200") == 2
+    assert run_cli("run", "ghz-circuit", "alpha=4294967296") == 0
+    assert run_cli("run", "ghz-circuit", "alpha=1e200", "samples=10", "seed=1") == 2
+    assert "parameter 'alpha' must be below 2**32 when samples > 0" in capsys.readouterr().err

@@ -267,6 +267,18 @@ def test_output_past_the_cap_raises_cold_and_warm(occ):
             transform.apply(ket)
 
 
+@pytest.mark.parametrize("postselect", [None, {"c": 0}])
+def test_a_circuit_raises_at_the_element_whose_output_passes_the_cap(postselect):
+    # the first splitter puts 16 photons into one mode; the second never replays
+    ket = FockKet.basis(TRIPLE, (8, 0, 8, 0, 0, 0))
+    first, second = bs_5050(TRIPLE, "a", "b"), bs_5050(TRIPLE, "a", "c")
+    with pytest.raises(CapacityError):
+        apply_circuit(ket, (first, second), postselect)
+    assert first._programs and not second._programs
+    with pytest.raises(CapacityError):
+        apply_circuit(ket, (first,), postselect)
+
+
 PIPE = ModeRegister.polarized("a", "b", "c0", "c1", "c2", "c3", "d0", "d1", "d2", "d3")
 
 

@@ -7,6 +7,10 @@ resolved parameters and artifact version.  All randomness flows from a
 single counter-based generator seeded from the config, so outputs are
 byte-identical for identical (config, seed).
 
+Each experiment's runner is the one place that knows its limits: it checks
+them and makes its cheap set-up, then returns its rows as an iterator.
+``run`` draws and writes the rows; ``validate`` stops before the first.
+
 Exit codes: 0 ok, 2 config error, 3 numeric/capacity error.
 """
 
@@ -19,7 +23,7 @@ import sys
 from dataclasses import dataclass, replace
 from functools import cache
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -82,8 +86,7 @@ class Experiment:
     description: str
     columns: str
     params: tuple[Param, ...]
-    runner: Callable[[dict], list[tuple]]
-    checker: Callable[[dict], list[str]] | None = None
+    runner: Callable[[dict], Iterable[tuple]]  # checks the config, then returns its rows lazily
 
 
 def _parse_value(param: Param, raw: str):
@@ -156,115 +159,72 @@ def typed_params(experiment: Experiment, values: dict[str, str]) -> dict:
     return typed
 
 
-def _check_detector(typed: dict) -> list[str]:
-    if typed["m0"] == 0.0 and typed["n0"] == 0.0:
-        return ["parameters 'm0' and 'n0' must not both be zero"]
-    try:
-        # rescaled as the run rescales it, which near the ends of the double
-        # range divides by zero, overflows or misses m^2 + n^2 = 1/2
-        if _normalized_pair(typed).is_normalized:
-            return []
-    except ArithmeticError:
-        pass
-    return [
-        "parameters 'm0' and 'n0' cannot be rescaled to m^2 + n^2 = 1/2 in double precision "
-        f"(m0={typed['m0']!r}, n0={typed['n0']!r})"
-    ]
-
-
-# -- experiment runners ---------------------------------------------------
+# -- experiment runners: checks and set-up, then the rows as an iterator ----
 
 
 def _normalized_pair(typed: dict) -> CoefficientPair:
-    return CoefficientPair(typed["m0"], typed["n0"]).normalized()
+    if typed["m0"] == 0.0 and typed["n0"] == 0.0:
+        raise ConfigError("parameters 'm0' and 'n0' must not both be zero")
+    try:
+        # near the ends of the double range the rescaling divides by zero,
+        # overflows or misses m^2 + n^2 = 1/2
+        pair = CoefficientPair(typed["m0"], typed["n0"]).normalized()
+        if pair.is_normalized:
+            return pair
+    except ArithmeticError:
+        pass
+    raise ConfigError(
+        "parameters 'm0' and 'n0' cannot be rescaled to m^2 + n^2 = 1/2 in double precision "
+        f"(m0={typed['m0']!r}, n0={typed['n0']!r})"
+    )
 
 
-def _cascade_rows(typed: dict, steps: int) -> list[tuple]:
-    pair0 = _normalized_pair(typed)
-    run = cascade_simulate(pair0, steps, typed["alpha"], typed["theta"])
-    rows = []
+def _grid(typed: dict) -> int:
+    longest = np.iinfo(np.intp).max // 8  # numpy sizes a float array in bytes with its index type
+    if typed["grid"] > longest:
+        raise ConfigError(f"parameter 'grid' must be at most {longest}, the longest float array numpy can size")
+    return typed["grid"]
+
+
+def _cascade_rows(pair0: CoefficientPair, steps: int, alpha: float, theta: float) -> Iterator[tuple]:
+    run = cascade_simulate(pair0, steps, alpha, theta)
     cumulative = 1.0
-    for k in range(1, steps + 1):
+    for k, probability in enumerate(run.step_probabilities, start=1):
         closed = cascade_closed_form(pair0, k)
-        cumulative *= run.step_probabilities[k - 1]
-        rows.append(
-            (
-                k,
-                closed.m_k,
-                closed.n_k,
-                closed.ratio,
-                closed.c_k,
-                run.step_probabilities[k - 1],
-                cumulative,
-                closed.fidelity_with_target,
-            )
-        )
-    return rows
+        cumulative *= probability
+        yield (k, closed.m_k, closed.n_k, closed.ratio, closed.c_k,
+               probability, cumulative, closed.fidelity_with_target)
 
 
-def _check_cascade(typed: dict) -> list[str]:
-    if errors := _check_detector(typed):
-        return errors
-    a_matrix_power(typed["k"])  # a CapacityError past MAX_CASCADE_STEPS
-    return []
+def run_cascade(typed: dict) -> Iterator[tuple]:
+    # symmetry-detect declares no k: one detector pass is the depth-1 cascade
+    steps = typed.get("k", 1)
+    pair0 = _normalized_pair(typed)
+    a_matrix_power(steps)  # a CapacityError past MAX_CASCADE_STEPS
+    return _cascade_rows(pair0, steps, typed["alpha"], typed["theta"])
 
 
-def run_cascade(typed: dict) -> list[tuple]:
-    return _cascade_rows(typed, typed["k"])
-
-
-def run_symmetry_detect(typed: dict) -> list[tuple]:
-    # one detector pass is the depth-1 cascade
-    return _cascade_rows(typed, 1)
-
-
-def run_psi_theta(typed: dict) -> list[tuple]:
-    grid = typed["grid"]
+def _psi_theta_rows(grid: int) -> Iterator[tuple]:
     ghz_ref = ghz_state()
     w_ref = w_pair_state(False)
     w_ref_flipped = w_pair_state(True)
-    rows = []
-    for theta in np.linspace(0.0, math.pi / 2.0, grid):
-        result = build_psi_theta(float(theta))
-        reference = psi_theta_reference(float(theta))
-        rows.append(
-            (
-                float(theta),
-                result.postselect_probability,
-                result.state.fidelity(ghz_ref),
-                result.state.fidelity(w_ref) + result.state.fidelity(w_ref_flipped),
-                result.state.fidelity(reference),
-            )
+    for theta in np.linspace(0.0, math.pi / 2.0, grid).tolist():
+        result = build_psi_theta(theta)
+        reference = psi_theta_reference(theta)
+        yield (
+            theta,
+            result.postselect_probability,
+            result.state.fidelity(ghz_ref),
+            result.state.fidelity(w_ref) + result.state.fidelity(w_ref_flipped),
+            result.state.fidelity(reference),
         )
-    return rows
 
 
-def _check_ghz(typed: dict) -> list[str]:
-    errors = []
-    peak = peak_center(typed["alpha"], 0.0)  # the largest homodyne peak, 2*alpha
-    if not math.isfinite(peak):
-        errors.append("parameter 'alpha' is too large: the homodyne peak 2*alpha overflows a double")
-    else:
-        try:
-            decode_table(typed["alpha"], typed["theta"])
-        except ValueError as exc:
-            errors.append(f"parameter 'theta' rejected: {exc}")
-    if typed.get("seed", 0) >= 2**64:
-        errors.append("parameter 'seed' must be an unsigned 64-bit integer")
-    if typed["samples"] > 0 and typed.get("seed") is None:
-        errors.append("parameter 'seed' is required when samples > 0")
-    # a draw adds unit-variance noise to a peak near 2*alpha; once that noise
-    # falls below the peak's resolution every draw lands on a peak
-    ulp = math.ulp(peak)
-    if typed["samples"] > 0 and ulp > 2.0**-20:
-        errors.append(
-            "parameter 'alpha' must be below 2**32 when samples > 0: a draw's "
-            f"homodyne noise is lost below ulp(2*alpha) = {ulp:.3g}"
-        )
-    return errors
+def run_psi_theta(typed: dict) -> Iterator[tuple]:
+    return _psi_theta_rows(_grid(typed))
 
 
-def run_ghz_circuit(typed: dict) -> list[tuple]:
+def _ghz_rows(typed: dict) -> Iterator[tuple]:
     readout = GhzReadout(build_psi_theta(math.pi / 2.0).state, typed["alpha"], typed["theta"])
     table = readout.table
     target = ghz_state()
@@ -285,75 +245,99 @@ def run_ghz_circuit(typed: dict) -> list[tuple]:
         for interval in table.intervals:
             corrected, _ = readout.condition(table.peak_center(interval))
             fidelities.append(corrected.fidelity(target) if corrected is not None else 0.0)
-    return [
-        (interval.index, interval.branch, interval.x_lo, interval.x_hi, probability, fidelity)
-        for interval, probability, fidelity in zip(table.intervals, probabilities, fidelities)
-    ]
+    for interval, probability, fidelity in zip(table.intervals, probabilities, fidelities):
+        yield (interval.index, interval.branch, interval.x_lo, interval.x_hi, probability, fidelity)
 
 
-def _check_pdc(typed: dict) -> list[str]:
-    if ("tau" in typed) == ("k" in typed):
-        return ["exactly one of 'tau' (squeezed expansion) or 'k' (mixture) is required"]
-    if "tau" in typed:
-        try:
-            squeezed_weights(typed["tau"], 0)
-        except OverflowError as exc:
-            return [f"parameter 'tau' rejected: {exc}"]
+def run_ghz_circuit(typed: dict) -> Iterator[tuple]:
+    alpha, theta, samples = typed["alpha"], typed["theta"], typed["samples"]
+    errors = []
+    peak = peak_center(alpha, 0.0)  # the largest homodyne peak, 2*alpha
+    if not math.isfinite(peak):
+        errors.append("parameter 'alpha' is too large: the homodyne peak 2*alpha overflows a double")
     else:
-        six_photon_mixture(typed["k"])  # a CapacityError once the amplitudes are not finite
-    return []
+        try:
+            table = decode_table(alpha, theta)
+        except ValueError as exc:
+            errors.append(f"parameter 'theta' rejected: {exc}")
+        else:
+            # the exact analysis conditions on each interval's peak, where the repair phase is 0
+            if samples == 0 and any(table.lookup(table.peak_center(i)) is not i for i in table.intervals):
+                errors.append(
+                    "parameter 'theta' is too small for parameter 'alpha': a branch's peak falls outside "
+                    "its decode interval, so the peaks are not resolved in double precision"
+                )
+    if typed.get("seed", 0) >= 2**64:
+        errors.append("parameter 'seed' must be an unsigned 64-bit integer")
+    if samples > 0 and typed.get("seed") is None:
+        errors.append("parameter 'seed' is required when samples > 0")
+    # a draw adds unit-variance noise to a peak near 2*alpha; once that noise
+    # falls below the peak's resolution every draw lands on a peak
+    ulp = math.ulp(peak)
+    if samples > 0 and ulp > 2.0**-20:
+        errors.append(
+            "parameter 'alpha' must be below 2**32 when samples > 0: a draw's "
+            f"homodyne noise is lost below ulp(2*alpha) = {ulp:.3g}"
+        )
+    if errors:
+        raise ConfigError(*errors)
+    return _ghz_rows(typed)
 
 
-def run_pdc_weights(typed: dict) -> list[tuple]:
+def _squeezed_rows(tau: float, n_max: int) -> Iterator[tuple]:
+    for n, w in enumerate(squeezed_weights(tau, n_max).weights):
+        if w != 0.0:  # rows with exactly zero amplitude carry no information (tau = 0)
+            yield (n, w, w * w)
+
+
+def run_pdc_weights(typed: dict) -> Iterable[tuple]:
+    if ("tau" in typed) == ("k" in typed):
+        raise ConfigError("exactly one of 'tau' (squeezed expansion) or 'k' (mixture) is required")
     if "k" in typed:
-        mixture = six_photon_mixture(typed["k"])
+        mixture = six_photon_mixture(typed["k"])  # a CapacityError once the amplitudes are not finite
         # amplitudes print as real parts; for 1 < k < 2 the three-pair
         # closed form turns imaginary and prints as zero (see README)
-        a3, a21, a111 = (a.real for a in mixture.amps)
-        return [(typed["k"], a3, a21, a111)]
-    expansion = squeezed_weights(typed["tau"], typed["n_max"])
-    # rows with exactly zero amplitude carry no information (tau = 0)
-    return [(n, w, w * w) for n, w in enumerate(expansion.weights) if w != 0.0]
+        return [(typed["k"], *(a.real for a in mixture.amps))]
+    try:
+        squeezed_weights(typed["tau"], 0)
+    except OverflowError as exc:
+        raise ConfigError(f"parameter 'tau' rejected: {exc}") from None
+    return _squeezed_rows(typed["tau"], typed["n_max"])
 
 
-def _sweep_grid(typed: dict, points: int) -> np.ndarray:
-    alpha = typed["alpha"]
-    top = peak_center(alpha, 0.0) + 8.0  # at or above the lower end, so it overflows first
-    if not math.isfinite(top):
-        raise OverflowError(f"alpha={alpha} is too large: the sweep grid's end 2*alpha + 8 overflows a double")
-    return np.linspace(peak_center(alpha, typed["theta"]) - 8.0, top, points)
+def _sweep_rows(typed: dict, tagged, targets: dict, lo: float, top: float) -> Iterator[tuple]:
+    alpha, theta = typed["alpha"], typed["theta"]
+    for x in np.linspace(lo, top, typed["grid"]).tolist():
+        branch, repaired = decide_and_repair(homodyne_condition(tagged, x), x, alpha, theta)
+        interval, target = targets[branch]
+        fidelity = repaired.fidelity(target) if repaired is not None and target is not None else 0.0
+        yield (x, homodyne_pdf(tagged, x), interval, fidelity)
 
 
-def _check_sweep(typed: dict) -> list[str]:
-    if errors := _check_detector(typed):
-        return errors
-    # (x - peak)**2 is largest at an end of the grid, and linspace puts the
-    # ends at the same two points for any size: the run's OverflowError, if any
-    tagged = detector_probe_state(twin_beam_state(_normalized_pair(typed)), typed["alpha"], typed["theta"])
-    # a branch's probe phase is index * theta / 2, and the readout takes its cosine
-    if not all(math.isfinite(tagged.phase_of(index)) for index in tagged.group_weights()):
-        return ["parameter 'theta' is too large: a branch's probe phase index * theta / 2 overflows a double"]
-    for x in _sweep_grid(typed, 2).tolist():
-        homodyne_pdf(tagged, x)
-    return []
-
-
-def run_homodyne_sweep(typed: dict) -> list[tuple]:
+def run_homodyne_sweep(typed: dict) -> Iterator[tuple]:
     alpha, theta = typed["alpha"], typed["theta"]
     pair = _normalized_pair(typed)
     state = twin_beam_state(pair)
     tagged = detector_probe_state(state, alpha, theta)
+    # a branch's probe phase is index * theta / 2, and the readout takes its cosine
+    if not all(math.isfinite(tagged.phase_of(index)) for index in tagged.group_weights()):
+        raise ConfigError(
+            "parameter 'theta' is too large: a branch's probe phase index * theta / 2 overflows a double"
+        )
+    top = peak_center(alpha, 0.0) + 8.0  # at or above the lower end, so it overflows first
+    if not math.isfinite(top):
+        raise OverflowError(f"alpha={alpha} is too large: the sweep grid's end 2*alpha + 8 overflows a double")
+    lo = peak_center(alpha, theta) - 8.0
+    _grid(typed)
+    # (x - peak)**2 is largest at an end of the grid, and linspace puts the
+    # ends at the same two points for any size: the run's OverflowError, if any
+    for x in np.linspace(lo, top, 2).tolist():
+        homodyne_pdf(tagged, x)
     asymmetric_target = detect(state, alpha, theta, force="asymmetric").state \
         if abs(pair.m - pair.n) > 1e-12 else None
     # the CSV numbers the high-x (symmetric) interval 0
     targets = {"symmetric": (0, tagged.branch(0)), "asymmetric": (1, asymmetric_target)}
-    rows = []
-    for x in _sweep_grid(typed, typed["grid"]).tolist():
-        branch, repaired = decide_and_repair(homodyne_condition(tagged, x), x, alpha, theta)
-        interval, target = targets[branch]
-        fidelity = repaired.fidelity(target) if repaired is not None and target is not None else 0.0
-        rows.append((x, homodyne_pdf(tagged, x), interval, fidelity))
-    return rows
+    return _sweep_rows(typed, tagged, targets, lo, top)
 
 
 _PAIR_PARAMS = (
@@ -378,15 +362,13 @@ EXPERIMENTS: dict[str, Experiment] = {
             + _PROBE_PARAMS
             + (_OUTPUT_PARAM,),
             runner=run_cascade,
-            checker=_check_cascade,
         ),
         Experiment(
             name="symmetry-detect",
             description="single symmetry-detector pass (depth-1 cascade row)",
             columns="k,m_k,n_k,ratio,C_k,step_success_prob,cumulative_prob,fidelity_psi3",
             params=_PAIR_PARAMS + _PROBE_PARAMS + (_OUTPUT_PARAM,),
-            runner=run_symmetry_detect,
-            checker=_check_detector,
+            runner=run_cascade,
         ),
         Experiment(
             name="psi-theta",
@@ -410,7 +392,6 @@ EXPERIMENTS: dict[str, Experiment] = {
                 _OUTPUT_PARAM,
             ),
             runner=run_ghz_circuit,
-            checker=_check_ghz,
         ),
         Experiment(
             name="pdc-weights",
@@ -423,7 +404,6 @@ EXPERIMENTS: dict[str, Experiment] = {
                 _OUTPUT_PARAM,
             ),
             runner=run_pdc_weights,
-            checker=_check_pdc,
         ),
         Experiment(
             name="homodyne-sweep",
@@ -436,7 +416,6 @@ EXPERIMENTS: dict[str, Experiment] = {
                 _OUTPUT_PARAM,
             ),
             runner=run_homodyne_sweep,
-            checker=_check_sweep,
         ),
     )
 }
@@ -489,23 +468,19 @@ def _write_outputs(experiment: Experiment, typed: dict, rows: list[tuple]) -> Pa
     return path
 
 
-def _checked(values: dict[str, str]) -> tuple[Experiment, dict]:
-    """The experiment and typed parameters of a config.
+def _checked(values: dict[str, str]) -> tuple[Experiment, dict, Iterable[tuple]]:
+    """The experiment, typed parameters and undrawn rows of a config.
 
-    Raises :class:`ConfigError`: :func:`typed_params` names every broken
-    declared bound, and only when all hold are the cross-parameter rules checked.
+    The runner checks its own rules and limits only once every declared bound holds.
     """
     experiment = _experiment_for(values)
     typed = typed_params(experiment, values)
-    errors = experiment.checker(typed) if experiment.checker is not None else []
-    if errors:
-        raise ConfigError(*errors)
-    return experiment, typed
+    return experiment, typed, experiment.runner(typed)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    experiment, typed = _checked(resolve_config(args.config, args.overrides))
-    rows = experiment.runner(typed)
+    experiment, typed, rows = _checked(resolve_config(args.config, args.overrides))
+    rows = list(rows)
     path = _write_outputs(experiment, typed, rows)
     print(f"wrote {path} ({len(rows)} rows)")
     return 0

@@ -1,10 +1,19 @@
+import contextlib
 import hashlib
+import io
 import math
+import os
+import re
+import tempfile
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from focksim import cli
+from focksim import cli, detector, schemes
 from focksim.cli import main
 
 START_PAIR = ["m0=0", "n0=0.70710678"]
@@ -600,3 +609,140 @@ def test_sampled_run_keeps_its_noise_just_below_the_bound(out_dir, capsys):
     assert run_cli("run", "ghz-circuit", "alpha=4294967296") == 0
     assert run_cli("run", "ghz-circuit", "alpha=1e200", "samples=10", "seed=1") == 2
     assert "parameter 'alpha' must be below 2**32 when samples > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["1e200", "1e300"])
+def test_ghz_peaks_not_resolved_in_double_precision_are_rejected(out_dir, capsys, tmp_path_factory, alpha):
+    # at theta=1e-8 neighbouring peaks round onto each other: an exact run would
+    # condition a peak in another interval, whose repair phase overflows
+    args = ("ghz-circuit", f"alpha={alpha}", "theta=1e-8")
+    message = "parameter 'theta' is too small for parameter 'alpha'"
+    assert_rejected(args, message, out_dir, capsys, tmp_path_factory)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("psi-theta", "grid=100000000000000000000"),
+        ("psi-theta", "grid=9223372036854775808"),
+        ("psi-theta", "grid=1152921504606846976"),
+        ("homodyne-sweep", "m0=0.6", "n0=0.3", "grid=100000000000000000000"),
+    ],
+    ids=["psi-theta", "psi-theta-2**63", "psi-theta-2**60", "homodyne-sweep"],
+)
+def test_grid_numpy_cannot_size_is_rejected(out_dir, capsys, tmp_path_factory, args):
+    # each is refused before any array is made: numpy would refuse an array of
+    # 2**60 or more doubles, whose size in bytes its index type cannot hold
+    assert_rejected(args, "parameter 'grid' must be at most 1152921504606846975", out_dir, capsys, tmp_path_factory)
+
+
+class Drawn(Exception):
+    pass
+
+
+def _draws(*_, **__):
+    raise Drawn
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("ghz-circuit", "samples=1000000000", "seed=1"),
+        ("ghz-circuit",),
+        ("cascade", "m0=0.6", "n0=0.3", "k=30"),
+        ("symmetry-detect", "m0=0.6", "n0=0.3"),
+        ("psi-theta",),
+        ("homodyne-sweep", "m0=0.6", "n0=0.3"),
+    ],
+    ids=["ghz-sampled", "ghz-exact", "cascade", "symmetry-detect", "psi-theta", "homodyne-sweep"],
+)
+def test_validate_draws_no_rows(out_dir, monkeypatch, capsys, tmp_path_factory, args):
+    # the functions that compute rows raise, where the runner calls them and at their source
+    for owner in (cli, schemes, detector):
+        for name in ("build_psi_theta", "GhzReadout", "cascade_simulate", "homodyne_condition", "decide_and_repair"):
+            if hasattr(owner, name):
+                monkeypatch.setattr(owner, name, _draws)
+    config = tmp_path_factory.mktemp("config") / "job.cfg"
+    config.write_text(f"experiment = {args[0]}\n" + "".join(f"{a.replace('=', ' = ')}\n" for a in args[1:]))
+    assert run_cli("validate", str(config)) == 0
+    assert capsys.readouterr().out == "ok\n"
+    with pytest.raises(Drawn):
+        run_cli("run", *args)
+    assert not any(out_dir.iterdir())
+
+
+# -- run and validate agree at the edges of every declared parameter -----------
+
+FLOAT_EDGES = (
+    0.0, 5e-324, 1e-310, 1e-160, 1e-8, 0.1, 0.3, 0.6, 1.0, 2.0, 2.0**32,
+    1e154, 1e200, 1e307, 8.98e307, 1.79e308, -5e-324, -0.6, -1e200,
+)
+# integer edges, capped so that one example stays fast
+INT_EDGES = {
+    "k": (-1, 0, 1, 2, 30, 31),
+    "grid": (-1, 0, 1, 2, 7),
+    "samples": (-1, 0, 1, 5),
+    "seed": (-1, 0, 1, 2**64 - 1, 2**64),
+    "n_max": (-1, 0, 1, 80),
+}
+
+
+@st.composite
+def edge_configs(draw):
+    """An experiment and raw values for some of its numeric parameters, each an edge value."""
+    name = draw(st.sampled_from(sorted(cli.EXPERIMENTS)))
+    values = {}
+    for param in cli.EXPERIMENTS[name].params:
+        if param.kind is not str:
+            edges = INT_EDGES[param.name] if param.kind is int else FLOAT_EDGES
+            value = draw(st.sampled_from((None, *edges)))
+            if value is not None:
+                values[param.name] = repr(value)
+    return name, values
+
+
+def _in_process(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _documented_non_finite(name: str, rows: list[list[str]]) -> set[tuple[int, int]]:
+    """The (row, column) cells a successful run may write as nan or inf."""
+    if name == "ghz-circuit":
+        # the outer interval edges, and the fidelity of an interval no draw visited
+        unvisited = {(i, 5) for i, row in enumerate(rows) if float(row[4]) == 0.0}
+        return {(0, 2), (len(rows) - 1, 3)} | unvisited
+    if name in ("cascade", "symmetry-detect"):
+        return {(i, 3) for i, row in enumerate(rows) if float(row[2]) == 0.0}  # m_k / n_k at n_k = 0
+    return set()
+
+
+# (a) no uncaught exception; (b) run and validate exit alike; (c) a refusal
+# names a declared parameter; (d) a success writes no nan or inf beyond the
+# documented cells.  The first example exited 2 from run, naming nothing,
+# while validate printed ok; the second writes ratio -inf in row 1.
+@settings(deadline=None, max_examples=800, derandomize=True, database=None)
+@given(config=edge_configs())
+@example(config=("ghz-circuit", {"alpha": "1e200", "theta": "1e-08"}))
+@example(config=("cascade", {"m0": "1.0", "n0": "-3.0", "k": "2"}))
+def test_run_and_validate_agree_at_the_edges(config):
+    name, values = config
+    declared = [param.name for param in cli.EXPERIMENTS[name].params]
+    names_one = re.compile("|".join(rf"'{p}'|\b{p}=" for p in declared))
+    with tempfile.TemporaryDirectory() as out, mock.patch.dict(os.environ, {"FOCKSIM_OUT_DIR": out}):
+        job = Path(out, "job.cfg")
+        job.write_text("".join(f"{key} = {raw}\n" for key, raw in {"experiment": name, **values}.items()))
+        checked, checked_out, checked_err = _in_process(["validate", str(job)])
+        code, _, err = _in_process(["run", name, *(f"{key}={raw}" for key, raw in values.items())])
+        assert (code, checked) in ((0, 0), (2, 2), (3, 3)), (err, checked_out, checked_err)
+        if code:
+            assert names_one.search(err), err
+            assert names_one.search(checked_out + checked_err), checked_out + checked_err
+            return
+        _, rows = read_csv(Path(out, f"{name}.csv"))
+        documented = _documented_non_finite(name, rows)
+        for i, row in enumerate(rows):
+            for column, cell in enumerate(row):
+                assert math.isfinite(float(cell)) or (i, column) in documented, row

@@ -39,8 +39,8 @@ from .detector import (
     detector_probe_state,
     twin_beam_state,
 )
-from .fock import CapacityError, format_float
-from .kerr import homodyne_condition, homodyne_pdf, make_rng, peak_center
+from .fock import CapacityError, _fidelity, format_float
+from .kerr import _conditioned_terms, homodyne_pdf, make_rng, peak_center
 from .pdc import six_photon_mixture, squeezed_weights
 from .schemes import (
     GhzReadout,
@@ -306,11 +306,13 @@ def run_pdc_weights(typed: dict) -> Iterable[tuple]:
 
 
 def _sweep_rows(typed: dict, tagged, targets: dict, lo: float, top: float) -> Iterator[tuple]:
+    # each point is homodyne_condition, decide_and_repair and FockKet.fidelity
+    # on the terms alone: the same sums in the same order, and no ket built
     alpha, theta = typed["alpha"], typed["theta"]
     for x in np.linspace(lo, top, typed["grid"]).tolist():
-        branch, repaired = decide_and_repair(homodyne_condition(tagged, x), x, alpha, theta)
+        branch, repaired = decide_and_repair(_conditioned_terms(tagged, x), x, alpha, theta)
         interval, target = targets[branch]
-        fidelity = repaired.fidelity(target) if repaired is not None and target is not None else 0.0
+        fidelity = _fidelity(repaired, target) if repaired and target is not None else 0.0
         yield (x, homodyne_pdf(tagged, x), interval, fidelity)
 
 

@@ -12,6 +12,13 @@ The splitter is built once per register and shared by every detection,
 so its multinomial expansions are computed once per process: a cascade,
 a sweep and a sampled run all reuse the same table.
 
+The readouts that run many times build no intermediate ket:
+:func:`decide_and_repair` phases and prunes an outcome's conditioned terms
+in one loop, and a cascade step tags, prunes, weighs and keeps the
+splitter's output terms in another.  Each does the float operations of the
+kets it replaces, in their order and through the same builtin ``sum``
+calls, so no output bit changes.
+
 Cascading the detector drives the two-parameter coefficient family through
 the integer iteration matrix [[1, 3], [3, 1]], whose closed-form powers are
 also provided here.
@@ -22,12 +29,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from operator import mul
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .elements import ModeTransform, bs_5050
-from .fock import CapacityError, FockKet, ModeRegister
+from .fock import PRUNE_THRESHOLD, CapacityError, FockKet, ModeRegister
 from .kerr import (
+    _check_probe,
     _draw_homodyne,
     apply_cross_kerr,
     apply_probe_phase,
@@ -42,6 +52,7 @@ PAIR_NORM_TOLERANCE = 1e-12
 # register layout shared by the whole twin-beam family
 TWIN_SPATIALS = ("a", "b")
 twin_beam_register = ModeRegister.polarized(*TWIN_SPATIALS)
+_ARM_B = twin_beam_register.spatial_indices("b")  # the modes whose photons the repair phase turns
 
 # probe-phase weights in half-theta units: theta per photon in arm a,
 # theta/2 per photon in arm b, followed by a fixed gate of -9 half-units
@@ -90,30 +101,42 @@ def twin_beam_state(pair: CoefficientPair) -> FockKet:
     )
 
 
+def _phased(terms: Iterable[tuple[tuple[int, ...], complex]], phi: float, indices: tuple[int, ...]) -> dict:
+    """Each ``(occupation, amplitude)`` turned by exp(i phi/2) per photon in the modes ``indices``, then pruned."""
+    out = {}
+    turns: dict[int, complex] = {}  # the turn of each photon count, computed once
+    for occ, amp in terms:
+        count = sum(map(occ.__getitem__, indices))
+        if (turn := turns.get(count)) is None:
+            turn = turns[count] = complex(math.cos(0.5 * phi * count), math.sin(0.5 * phi * count))
+        if not abs(amp := amp * turn) < PRUNE_THRESHOLD:
+            out[occ] = amp
+    return out
+
+
 def apply_phase_correction(state: FockKet, phi: float, spatial: str) -> FockKet:
     """Multiply each term by exp(i phi/2) per photon in one spatial arm."""
-    indices = state.register.spatial_indices(spatial)
-    out = {}
-    for occ, amp in state.items():
-        count = sum(occ[i] for i in indices)
-        out[occ] = amp * complex(math.cos(0.5 * phi * count), math.sin(0.5 * phi * count))
-    return FockKet._from_valid(state.register, out)
+    return FockKet._from_valid(state.register, _phased(state.items(), phi, state.register.spatial_indices(spatial)))
 
 
 def decide_and_repair(
-    conditional: FockKet | None, x: float, alpha: float, theta: float
-) -> tuple[str, FockKet | None]:
-    """Branch read from outcome ``x``, and the conditional (or ``None``) repaired for it.
+    conditional: Mapping | FockKet | None, x: float, alpha: float, theta: float
+) -> tuple[str, Mapping | FockKet | None]:
+    """Branch read from outcome ``x``, and the conditional terms repaired for it.
 
-    Only ``x`` above the midpoint threshold reads "symmetric"; an asymmetric
-    outcome's phase, taken modulo 2 pi, is undone on arm ``b``.
+    ``conditional`` holds terms on the twin-beam register: a dict or a ket,
+    or ``None`` (or empty) for none.  Only ``x`` above the midpoint threshold
+    reads "symmetric", and the conditional comes back as it is.  An
+    asymmetric outcome's phase, taken modulo 2 pi, is undone on arm ``b``:
+    the terms come back as a dict, pruned as
+    :func:`apply_phase_correction` prunes its ket.
     """
     if x > midpoint_threshold(alpha, theta):
         return "symmetric", conditional
-    if conditional is None:
-        return "asymmetric", None
+    if not conditional:
+        return "asymmetric", conditional
     phi = repair_phase(alpha, theta, x) % (2.0 * math.pi)
-    return "asymmetric", apply_phase_correction(conditional, phi, "b")
+    return "asymmetric", _phased(conditional.items(), phi, _ARM_B)
 
 
 @cache
@@ -128,6 +151,28 @@ def detector_probe_state(state: FockKet, alpha: float, theta: float):
     tagged = attach_probe(mixed, alpha, theta)
     tagged = apply_cross_kerr(tagged, KERR_WEIGHTS)
     return apply_probe_phase(tagged, PROBE_GATE)
+
+
+def _symmetric_step(state: FockKet) -> tuple[FockKet, float]:
+    """State and probability of ``detect(state, alpha, theta, force="symmetric")``, for any valid probe.
+
+    One loop over the shared splitter's output does the work of the three
+    tagged states of :func:`detector_probe_state` and of ``branch(0)``.  Each
+    term gets its probe-phase index (exact in integers) and the ``0.0 +`` of
+    :func:`apply_cross_kerr`, which clears a negative zero's sign, and is
+    pruned.  The index-0 terms add ``|amplitude|**2`` to a running sum, as
+    ``group_weights`` does, and are kept and normalized as ``branch(0)`` is.
+    """
+    p_symmetric = 0.0
+    kept = {}
+    for occ, amp in _splitter(state.register).apply(state.normalized()).items():
+        amp = 0.0 + amp
+        if sum(map(mul, KERR_WEIGHTS, occ)) + PROBE_GATE == 0 and not abs(amp) < PRUNE_THRESHOLD:
+            p_symmetric += abs(amp) ** 2
+            kept[occ] = amp
+    if not kept:
+        raise ValueError("state has no symmetric component")
+    return FockKet._from_valid(state.register, kept).normalized(), p_symmetric
 
 
 def detect(
@@ -153,15 +198,11 @@ def detect(
     if force not in (None, "symmetric", "asymmetric"):
         raise ValueError(f"unknown forced outcome {force!r}")
 
-    tagged = detector_probe_state(state.normalized(), alpha, theta)
-    weights = tagged.group_weights()
-    p_symmetric = weights.get(0, 0.0)
-
     if force == "symmetric":
-        symmetric = tagged.branch(0)
-        if symmetric is None:
-            raise ValueError("state has no symmetric component")
-        return DetectorOutcome("symmetric", symmetric, p_symmetric)
+        _check_probe(alpha, theta)
+        return DetectorOutcome("symmetric", *_symmetric_step(state))
+    tagged = detector_probe_state(state.normalized(), alpha, theta)
+    p_symmetric = tagged.group_weights().get(0, 0.0)
     if force == "asymmetric":
         kept = {occ: amp for (occ, idx), amp in tagged.items() if idx != 0}
         if not kept:
@@ -174,12 +215,22 @@ def detect(
     if rng is None:
         raise ValueError("sampled detection needs an rng or seed")
     x, _, terms = _draw_homodyne(tagged, make_rng(rng))
-    branch, repaired = decide_and_repair(FockKet._from_valid(tagged.register, terms), x, alpha, theta)
+    branch, repaired = decide_and_repair(terms, x, alpha, theta)
     probability = p_symmetric if branch == "symmetric" else 1.0 - p_symmetric
-    return DetectorOutcome(branch, repaired, probability, x)
+    return DetectorOutcome(branch, FockKet._from_valid(tagged.register, repaired), probability, x)
 
 
 # -- cascade analysis ---------------------------------------------------
+
+
+def _cascade_depth(k: int) -> int:
+    """``k`` as an int, checked to be a cascade depth: 0 to :data:`MAX_CASCADE_STEPS`."""
+    k = int(k)
+    if k < 0:
+        raise ValueError(f"k={k} must be non-negative")
+    if k > MAX_CASCADE_STEPS:
+        raise CapacityError(f"k={k} exceeds max cascade depth {MAX_CASCADE_STEPS}")
+    return k
 
 
 def a_matrix_power(k: int) -> np.ndarray:
@@ -188,11 +239,7 @@ def a_matrix_power(k: int) -> np.ndarray:
     Diagonal entries are (4^k + (-2)^k)/2 and off-diagonal entries
     (4^k - (-2)^k)/2, evaluated in integer arithmetic before conversion.
     """
-    k = int(k)
-    if k < 0:
-        raise ValueError("matrix power must be non-negative")
-    if k > MAX_CASCADE_STEPS:
-        raise CapacityError(f"k={k} exceeds max cascade depth {MAX_CASCADE_STEPS}")
+    k = _cascade_depth(k)
     diag = (4**k + (-2) ** k) // 2
     off = (4**k - (-2) ** k) // 2
     return np.array([[diag, off], [off, diag]], dtype=float)
@@ -248,18 +295,21 @@ def cascade_simulate(
     alpha: float,
     theta: float,
 ) -> CascadeRun:
-    """Push a twin-beam state through ``k`` detectors, keeping symmetric outcomes."""
-    k = int(k)
-    if k > MAX_CASCADE_STEPS:
-        raise CapacityError(f"k={k} exceeds max cascade depth {MAX_CASCADE_STEPS}")
+    """Push a twin-beam state through ``k`` detectors, keeping symmetric outcomes.
+
+    Each step is ``detect(state, alpha, theta, force="symmetric")``.  The
+    state is a six-photon twin-beam ket by construction and the probe is
+    checked once, here, so the steps check nothing.
+    """
+    k = _cascade_depth(k)
     state = twin_beam_state(pair0.normalized())
+    _check_probe(alpha, theta)
     probabilities: list[float] = []
     cumulative = 1.0
     for _ in range(k):
-        outcome = detect(state, alpha, theta, force="symmetric")
-        state = outcome.state
-        probabilities.append(outcome.probability)
-        cumulative *= outcome.probability
+        state, probability = _symmetric_step(state)
+        probabilities.append(probability)
+        cumulative *= probability
     return CascadeRun(state, tuple(probabilities), cumulative)
 
 

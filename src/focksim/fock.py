@@ -146,6 +146,28 @@ def _significant(terms: Mapping) -> dict:
     return _pruned({key: complex(amp) for key, amp in terms.items()})
 
 
+def _norm_squared(terms: Mapping) -> float:
+    """Builtin ``sum`` of each amplitude's ``abs`` squared, in term order."""
+    return sum(abs(a) ** 2 for a in terms.values())
+
+
+def _inner(terms: Mapping, other: Mapping) -> complex:
+    """``<terms|other>``: builtin ``sum`` over the shorter side's shared occupations, in its order."""
+    if len(terms) <= len(other):
+        return sum(
+            amp.conjugate() * other_amp for occ, amp in terms.items() if (other_amp := other.get(occ)) is not None
+        )
+    return sum(terms[occ].conjugate() * other_amp for occ, other_amp in other.items() if occ in terms)
+
+
+def _fidelity(terms: Mapping, other: "FockKet") -> float:
+    """:meth:`FockKet.fidelity` of a ket with ``terms`` (on ``other``'s register, unchecked), without that ket."""
+    denom = _norm_squared(terms) * other.norm_squared
+    if denom == 0.0:
+        return 0.0
+    return abs(_inner(terms, other._terms)) ** 2 / denom
+
+
 class _Selection:
     """An occupancy pattern (see :meth:`FockKet.project`) compiled for one register.
 
@@ -183,7 +205,7 @@ class _Selection:
         """
         if total == 0.0:
             return None, 0.0
-        weight = sum(abs(a) ** 2 for a in kept.values())
+        weight = _norm_squared(kept)
         if weight == 0.0:
             return None, 0.0
         scale = 1.0 / math.sqrt(weight)
@@ -262,7 +284,7 @@ class FockKet:
         # the ket is immutable, so the sum is taken once (threads racing to
         # fill the slot write the same value)
         if self._norm_squared is None:
-            self._norm_squared = sum(abs(a) ** 2 for a in self._terms.values())
+            self._norm_squared = _norm_squared(self._terms)
         return self._norm_squared
 
     @property
@@ -318,24 +340,12 @@ class FockKet:
     def inner(self, other: "FockKet") -> complex:
         """Inner product, conjugate-linear in ``self``."""
         self._require_same_register(other)
-        if len(self._terms) <= len(other._terms):
-            return sum(
-                amp.conjugate() * other_amp
-                for occ, amp in self._terms.items()
-                if (other_amp := other._terms.get(occ)) is not None
-            )
-        return sum(
-            self._terms[occ].conjugate() * other_amp
-            for occ, other_amp in other._terms.items()
-            if occ in self._terms
-        )
+        return _inner(self._terms, other._terms)
 
     def fidelity(self, other: "FockKet") -> float:
         """Squared overlap of the two states after normalization."""
-        denom = self.norm_squared * other.norm_squared
-        if denom == 0.0:
-            return 0.0
-        return abs(self.inner(other)) ** 2 / denom
+        self._require_same_register(other)
+        return _fidelity(self._terms, other)
 
     # -- measurement --------------------------------------------------
 

@@ -64,6 +64,7 @@ class _ReadoutView(NamedTuple):
     # the module docstring, and |amplitude| as the bound (inf for a shared occupation)
     conditioning: tuple[tuple[int, tuple[int, ...], complex, float, float, float], ...]
     centers: tuple[float, ...]  # the peak centres in that order
+    in_order: tuple[tuple[int, tuple[int, ...], complex, float, float, float], ...]  # conditioning by position
 
 
 class ProbeTaggedState:
@@ -99,10 +100,7 @@ class ProbeTaggedState:
         return state
 
     def _init(self, register: ModeRegister, terms: dict, alpha: float, theta: float) -> None:
-        if alpha < 0:
-            raise ValueError("probe amplitude must be non-negative")
-        if theta <= 0:
-            raise ValueError("base Kerr phase must be positive")
+        _check_probe(alpha, theta)
         self._register = register
         self._terms = terms
         self._alpha = float(alpha)
@@ -147,6 +145,7 @@ class ProbeTaggedState:
                 group_total=sum(weight for _, weight, _ in groups),
                 conditioning=tuple(conditioning),
                 centers=tuple(term[3] for term in conditioning),
+                in_order=tuple(sorted(conditioning)),
             )
         return self._view_cache
 
@@ -199,6 +198,18 @@ class HomodyneOutcome:
     interval_index: int
     conditional: FockKet
     probability_density: float
+
+
+def _check_probe(alpha: float, theta: float) -> None:
+    """Reject a probe whose amplitude is not finite and >= 0, or whose base Kerr phase is not finite and > 0."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"probe amplitude alpha must be finite, got {alpha}")
+    if alpha < 0:
+        raise ValueError("probe amplitude alpha must be non-negative")
+    if not math.isfinite(theta):
+        raise ValueError(f"base Kerr phase theta must be finite, got {theta}")
+    if theta <= 0:
+        raise ValueError("base Kerr phase theta must be positive")
 
 
 def attach_probe(ket: FockKet, alpha: float, theta: float) -> ProbeTaggedState:
@@ -286,7 +297,7 @@ def _conditioned_terms(state: ProbeTaggedState, x: float) -> dict[tuple[int, ...
     # the terms whose weight can be above 0.0, back in their order
     lo = bisect.bisect_left(view.centers, x - _ZERO_WEIGHT_OFFSET)
     hi = bisect.bisect_right(view.centers, x + _ZERO_WEIGHT_OFFSET)
-    terms = sorted(view.conditioning[lo:hi])
+    terms = view.in_order if hi - lo == len(view.centers) else sorted(view.conditioning[lo:hi])
     # distance to the nearest homodyne peak below and above x (inf where none)
     i = bisect.bisect(view.centers, x)
     below = x - view.centers[i - 1] if i else math.inf
@@ -297,15 +308,16 @@ def _conditioned_terms(state: ProbeTaggedState, x: float) -> dict[tuple[int, ...
         scale = math.ldexp(1.0, min(-math.frexp(weight)[1], 1023))
         terms = [(i, occ, amp * scale, center, rate, bound * scale) for i, occ, amp, center, rate, bound in terms]
     out: dict[tuple[int, ...], complex] = {}
+    get, exp, cos, sin = out.get, math.exp, math.cos, math.sin
     for _, occ, amp, center, rate, bound in terms:
         offset = x - center
-        weight = math.exp(-0.25 * offset * offset)
+        weight = exp(-0.25 * offset * offset)
         if weight == 0.0 or weight * bound < _NEGLIGIBLE:
             continue
-        factor = weight * complex(math.cos(rate * offset), math.sin(rate * offset))
-        out[occ] = out.get(occ, 0.0) + amp * factor
+        factor = weight * complex(cos(rate * offset), sin(rate * offset))
+        out[occ] = get(occ, 0.0) + amp * factor
     # as FockKet._from_valid(register, out).normalized(): prune, sum the norm, scale, prune
-    norm_squared = sum(abs(a) ** 2 for a in out.values() if not abs(a) < PRUNE_THRESHOLD)
+    norm_squared = sum([m**2 for m in map(abs, out.values()) if not m < PRUNE_THRESHOLD])
     if norm_squared == 0.0:
         return {}
     scale = complex(1.0 / math.sqrt(norm_squared))

@@ -321,6 +321,20 @@ def test_homodyne_sweep_output_bytes_are_pinned(out_dir):
 SIMULATION_DIGESTS = {
     ("psi-theta",): "db724d753d6ede4a9110b55cfa62b5c78b0222da575c8eeaa531505df0bee981",
     ("cascade", "m0=0.6", "n0=0.3", "k=30"): "843d99e0034e8f73a79cb557ab9febc26e2b0167aeff8c7e184a2f7b4194202a",
+    # the detector readout's edges: no asymmetric target (m = n), one coefficient 0,
+    # m close to -n, empty conditionings and partial windows (theta=3), tail
+    # scaling (alpha=2); the m = -n cascade pins rows with fidelity_psi3 > 1
+    ("homodyne-sweep", "m0=1", "n0=1"): "5c91bf8836a9697c4cc2879781e1fa043e73261281a790f31c88785d4abe40f7",
+    ("homodyne-sweep", "m0=1", "n0=0"): "f0b1ca88f5cec963a1f395f35d8055f3597d6f4acec80054060a7e9234e8e864",
+    ("homodyne-sweep", "m0=0.5", "n0=-0.5000001"): "a087f5f0d8ae7e2def2a71e0f8acf7c243f223158250426c73d816a6d1eb8608",
+    ("homodyne-sweep", "m0=0.6", "n0=0.3", "theta=3", "grid=201"):
+        "df21eb4501cb6445def4830a394cda4dbeb07c45131e5c224653c1bd239fa1b0",
+    ("homodyne-sweep", "m0=0.6", "n0=0.3", "alpha=2", "grid=201"):
+        "6747c7fdae95ff2e8c064994990b91afdabf9bff3457a9a01a65846de8c65171",
+    ("cascade", "m0=1", "n0=0", "k=30"): "d6e7deb8d542f4fcf1bc5edf7653d4f535e3ebfb613a01fa1f7c6e585d038cfd",
+    ("cascade", "m0=0.5", "n0=-0.5000001", "k=30"): "10305307758b18c24f65e76a503724151839f7314913a0e32ba0206b298bbce0",
+    ("cascade", "m0=1", "n0=1", "k=5"): "5cf67d4771082b594cd4edc4002d980dba0b395d2d95cacccd9d9d7ccf9c21c4",
+    ("symmetry-detect", "m0=0.6", "n0=0.3"): "ed8ef296027b057c3e2b15fb6d7eed88ac4a120ae8fdfb356ca799be9e4d58b3",
 }
 
 

@@ -316,6 +316,28 @@ class TestCascadeSimulate:
         with pytest.raises(CapacityError):
             cascade_simulate(CoefficientPair(0.5, 0.5), 31, ALPHA, THETA)
 
+    def test_negative_depth_is_rejected_as_by_the_closed_form(self):
+        # it returned an empty run with cumulative probability 1.0
+        for call in (a_matrix_power, lambda k: cascade_closed_form(CoefficientPair(0.5, 0.5), k),
+                     lambda k: cascade_simulate(CoefficientPair(0.5, 0.5), k, ALPHA, THETA)):
+            with pytest.raises(ValueError, match="k=-1 must be non-negative"):
+                call(-1)
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize(
+        "alpha, theta, name", [(math.nan, THETA, "alpha"), (math.inf, THETA, "alpha"), (ALPHA, math.nan, "theta"),
+                               (ALPHA, math.inf, "theta"), (-1.0, THETA, "alpha"), (ALPHA, 0.0, "theta")],
+    )
+    def test_probe_is_checked_once_at_entry(self, k, alpha, theta, name):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            cascade_simulate(CoefficientPair(0.6, 0.3), k, alpha, theta)
+
+    @pytest.mark.parametrize("alpha, theta, name", [(math.nan, THETA, "alpha"), (ALPHA, math.inf, "theta")])
+    def test_sampled_detection_names_a_non_finite_probe(self, alpha, theta, name):
+        # a NaN alpha failed the draw blaming "quadrature x"
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            detect(twin_beam_state(CoefficientPair(0.5, 0.5)), alpha, theta, rng=1)
+
 
 def fresh_splitter_cascade(pair: CoefficientPair, k: int, alpha: float, theta: float):
     """``cascade_simulate`` written out, with a new splitter built at every step."""

@@ -65,6 +65,18 @@ class TestAttachProbe:
         with pytest.raises(ValueError, match=message):
             ProbeTaggedState._from_valid(TWO, {((1, 0), 0): 1.0}, alpha, theta)
 
+    @pytest.mark.parametrize(
+        "alpha, theta, name",
+        [(math.nan, 0.5, "alpha"), (math.inf, 0.5, "alpha"), (2.0, math.nan, "theta"), (2.0, math.inf, "theta"),
+         (-math.inf, 0.5, "alpha"), (2.0, -math.inf, "theta")],
+    )
+    def test_non_finite_probe_is_rejected_by_name(self, alpha, theta, name):
+        # NaN passed both sign checks, and theta=inf failed later with "math domain error"
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ProbeTaggedState(TWO, {((1, 0), 0): 1.0}, alpha, theta)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            attach_probe(FockKet.vacuum(TWO), alpha, theta)
+
     @pytest.mark.parametrize("m, n", [(0.5, 0.5), (0.6, math.sqrt(0.5 - 0.36)), (0.0, math.sqrt(0.5))])
     def test_readout_view_matches_written_out_expressions(self, m, n):
         tagged = tagged_detector_state(m, n, alpha=500.0, theta=0.2)

@@ -434,10 +434,6 @@ def _experiment_for(values: dict[str, str]) -> Experiment:
     return EXPERIMENTS[name]
 
 
-def _format_cell(value) -> str:
-    return str(value) if isinstance(value, int) else format_float(value)
-
-
 def _output_path(experiment: Experiment, typed: dict) -> Path:
     configured = typed.get("output") or f"{experiment.name}.csv"
     path = Path(configured)
@@ -454,7 +450,8 @@ def _write_outputs(experiment: Experiment, typed: dict, rows: list[tuple]) -> Pa
     path = _output_path(experiment, typed)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [columns]
-    lines += [",".join(_format_cell(cell) for cell in row) for row in rows]
+    # an int cell prints as an int; any other cell (a float or numpy float) as format_float prints it
+    lines += [",".join([str(c) if type(c) is int else format(c, ".17g") for c in row]) for row in rows]
     path.write_text("\n".join(lines) + "\n")
     meta_lines = [
         f"artifact_version = {__version__}",

@@ -6,57 +6,62 @@ coefficient of output mode ``j`` when substituting input mode ``i``) and is
 applied to a ket by exact multinomial re-expansion, so photon number and
 norm are conserved to machine precision.
 
-The substitution rows (the nonzero entries of each matrix row) are built
-once, when the transform is constructed.  ``apply`` runs one program per
-input occupation, compiled on the first ket that holds it and replayed for
-every later one: the ``sqrt(m!)`` divisors of the amplitude, one level of
-``(dst, src, weight)`` multiply-adds per moved mode (modes the transform
-leaves in place are not expanded), and a tail naming each output
-occupation's id once, in slot order, with its ``sqrt(k!)`` scale.  A last
-level that writes each slot once is fused into the tail, which then
-multiplies by its weights and sums straight into the output: the skipped
-``0.0 +`` changes at most the sign of a zero part, which the first
-``0.0 +`` into the output clears.  A transform numbers output occupations
-as its programs first produce them, and one replay loop sums every term
-into a dict keyed by those ids, which keeps each id where it first
-appears: every output amplitude is the multinomial expansion's sum, in
-its order, and no occupation is hashed per term.  The rows keep the
-matrix's numpy scalars: the expansion weights are computed from them, and
-converting the rows to Python ``complex`` moves output bits.  Each
-finished weight is stored as a Python ``complex``; that conversion is
-exact, and CPython computes a complex product and sum with the same
-formulas as numpy, so ``apply`` runs on Python scalars alone and its
-results keep their bits.
+The substitution rows are built once, at construction; they keep the
+matrix's numpy scalars, from which the expansion weights are computed, and
+each weight is stored as a Python ``complex`` (an exact conversion).  Each
+input occupation gets one program, compiled once: the ``sqrt(m!)`` divisors
+of the amplitude, a level of ``(dst, src, weight)`` multiply-adds per moved
+mode (a last level that writes each slot once is fused into the tail as its
+weights), and a tail naming each output occupation's id, numbered as
+programs first produce them, with its ``sqrt(k!)`` scale.
 
-:func:`apply_circuit` hands each element's surviving terms to the next and
-builds only its result as a ket (``apply`` is a circuit of one element).
-With ``postselect`` it also projects that result, deciding once per output
-id and pattern whether a term is kept, by the rule :meth:`FockKet.project`
-uses, so it gives the bits of a ``project`` after the circuit.
+Each input signature (a ket's occupations, in order) then gets one batch:
+its terms' programs laid out once as numpy arrays and run round by round,
+each round one step of every term, over ``(re, im)`` float rows.  Each
+operation keeps the bits of the Python arithmetic the replay did:
 
-A transform may be shared for the life of a process (the symmetry
-detector keeps one splitter per register, the preparation pipeline its
-four splitters, the GHZ readout its six taps).  Filling its programs is
-idempotent: a program depends only on the rows and the occupation, never
-on the ket that first needs it, and ids are assigned under a lock while a
-program compiles, so a shared transform gives the same bits as a fresh
-one, from any thread.  Its memory grows with the distinct occupations it
-has seen, and no further.
+- a product is CPython's complex product on split floats, a float product
+  and one float sum per part (numpy's complex multiply may fuse, so it is
+  not used);
+- ``np.bincount`` sums into each slot and output in op order, from ``0.0``,
+  as the replay's lists and dict did; a round that writes each slot once
+  skips that ``0.0 +``, which changes at most the sign of a zero part;
+- divisors apply in turn as float divisions (numpy's complex division uses
+  a reciprocal).  CPython's complex-by-float division also adds zero
+  products, which change a zero part's sign, cleared by the output sums,
+  or spread an infinite part as NaN, which adding ``x * 0.0`` once does too;
+- pruning uses ``np.hypot``, which gives ``abs``'s bits (``np.abs`` does not);
+- the post-selection norm is the builtin ``sum`` of ``math.pow(m, 2.0)``
+  (libm's ``pow``, as ``m ** 2``; ``m * m`` differs in about 0.1% of cases).
 
-Photon number is conserved, so the output occupations of a ket whose terms
-each hold at most ``MAX_OCCUPANCY`` photons are valid by construction and
-the result is built without checking or converting them (see
-:mod:`focksim.fock`); its amplitudes are Python ``complex``, as in every ket.
-A replay that met a term past that cap checks its surviving outputs before
-it returns, so a circuit raises the ``CapacityError`` of the first element
-whose result the checked constructor would refuse.
+:func:`apply_circuit` hands each element's surviving amplitudes to the next
+as an array, finds the next batch by the previous one and its keep mask,
+and builds only its result as a ket (``apply`` is a circuit of one
+element).  With ``postselect`` it decides once per pattern and batch which
+outputs :meth:`FockKet.project` would keep, and gives that ``project``'s bits.
+
+A transform may be shared for the life of a process (the symmetry detector
+keeps one splitter per register, the preparation pipeline its four
+splitters, the GHZ readout its six taps).  Programs and batches depend only
+on the rows and the occupations, and compile under a lock, so a shared
+transform gives a fresh one's bits, from any thread; its memory grows with
+the distinct occupations and signatures it has seen, and no further.
+
+Photon number is conserved, so the outputs of terms holding at most
+``MAX_OCCUPANCY`` photons are valid by construction and the result is built
+without checking them (see :mod:`focksim.fock`).  A batch with a term past
+that cap checks its surviving outputs before the next element runs, so a
+circuit raises the ``CapacityError`` of the first element whose result the
+checked constructor would refuse.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from itertools import compress
+import weakref
+from array import array
+from itertools import repeat
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -81,7 +86,7 @@ class ModeTransform:
 
     __slots__ = (
         "_register", "_matrix", "_rows", "_moved", "_expansions",
-        "_programs", "_ids", "_occupations", "_compiling", "_selections",
+        "_programs", "_ids", "_occupations", "_compiling", "_batches", "__weakref__",
     )
 
     def __init__(self, register: ModeRegister, matrix: np.ndarray):
@@ -104,15 +109,15 @@ class ModeTransform:
         self._moved = tuple(i for i, row in enumerate(self._rows) if row != ((i, 1.0),))
         # (input mode, occupancy) -> its multinomial expansion, filled by _compile
         self._expansions: dict[tuple[int, int], _Expansion] = {}
-        # input occupation -> its compiled program, filled by _replay
+        # input occupation -> its compiled program, filled by _batch
         self._programs: dict[tuple[int, ...], _Program] = {}
         # output occupation <-> id, numbered as programs first produce them
         self._ids: dict[tuple[int, ...], int] = {}
         self._occupations: list[tuple[int, ...]] = []
-        # held while a program compiles or a selection memo grows, one thread at a time
+        # held while a batch and its programs compile, one thread at a time
         self._compiling = threading.Lock()
-        # compiled post-selection pattern -> whether it keeps each output id
-        self._selections: dict[tuple, list[bool]] = {}
+        # input signature (the ordered input occupations) -> its batch program
+        self._batches: dict[tuple[tuple[int, ...], ...], _Batch] = {}
 
     @property
     def register(self) -> ModeRegister:
@@ -132,65 +137,21 @@ class ModeTransform:
         """Substitute and re-expand every creation operator of the ket."""
         return apply_circuit(ket, (self,))
 
-    def _replay(self, terms: Iterable[tuple[tuple[int, ...], complex]]) -> dict[int, complex]:
-        """Every term's program, summed into one dict keyed by output id.
-
-        The dict keeps each id where it first appears, so every output
-        amplitude is the same sum, in the same order, as in a dict keyed by
-        the output occupations.  Past the photon cap (a term held more than
-        ``MAX_OCCUPANCY`` photons) every output that survives pruning is
-        checked, in order, as the public ``FockKet`` constructor checks it.
-        """
-        out: dict[int, complex] = {}
-        get = out.get
-        programs = self._programs
-        over_cap = False
-        for occ, amp in terms:
-            program = programs.get(occ)
-            if program is None:
-                with self._compiling:
-                    program = programs[occ] = self._compile(occ)
-            divisors, levels, tail, over = program
-            over_cap = over_cap or over
-            for d in divisors:
-                amp /= d
-            values = [amp]
-            for size, ops in levels:
-                grown = [0.0] * size
-                for dst, src, weight in ops:
-                    grown[dst] = grown[dst] + values[src] * weight
-                values = grown
-            for src, weight, i, scale in tail:
-                v = values[src] if weight is None else values[src] * weight
-                out[i] = get(i, 0.0) + (v if scale is None else v * scale)
-        if over_cap:
-            for occ, _ in self._outputs(out):
-                _check_occupation(self._register, occ)
-        return out
-
-    def _outputs(self, out: dict[int, complex]) -> list[tuple[tuple[int, ...], complex]]:
-        """The replayed terms that survive pruning, as ``(occupation, amplitude)`` pairs."""
-        occupations = self._occupations
-        return [(occupations[i], amp) for i, amp in out.items() if not abs(amp) < PRUNE_THRESHOLD]
-
-    def _selected(self, out: dict[int, complex], selection: _Selection) -> tuple[FockKet | None, float]:
-        """What ``project`` gives on the ket of :meth:`_outputs`, without building that ket.
-
-        Whether an output is kept is decided once per output id and pattern, for
-        every id numbered by then, in a list that grows under the compile lock.
-        """
-        occupations = self._occupations
-        keeps = self._selections.setdefault(selection.key, [])
-        if len(keeps) < len(occupations):
+    def _batch(self, occupations: tuple[tuple[int, ...], ...]) -> "_Batch":
+        """The batch program of one input signature, compiled on first use under the lock."""
+        batch = self._batches.get(occupations)
+        if batch is None:
             with self._compiling:
-                keeps.extend(map(selection.keeps, occupations[len(keeps) :]))
-        squares = [m**2 for m in map(abs, out.values()) if not m < PRUNE_THRESHOLD]
-        kept = {
-            occupations[i]: amp
-            for i, amp in compress(out.items(), map(keeps.__getitem__, out))
-            if not abs(amp) < PRUNE_THRESHOLD
-        }
-        return selection.projected(sum(squares), kept)
+                batch = self._batches.get(occupations)
+                if batch is None:
+                    programs = []
+                    for occ in occupations:
+                        program = self._programs.get(occ)
+                        if program is None:
+                            program = self._programs[occ] = self._compile(occ)
+                        programs.append(program)
+                    batch = self._batches[occupations] = _Batch(programs, self._occupations)
+        return batch
 
     def _compile(self, occ: tuple[int, ...]) -> _Program:
         """The steps ``apply`` takes for one input occupation, in the order it takes them."""
@@ -247,6 +208,151 @@ class ModeTransform:
 
     def __repr__(self) -> str:
         return f"ModeTransform(on {self._register!r})"
+
+
+class _Numbering(dict):
+    """Numbers keys 0, 1, 2, ... in the order they are first looked up."""
+
+    def __missing__(self, key) -> int:
+        self[key] = number = len(self)
+        return number
+
+
+def _pairs(slots: array) -> np.ndarray:
+    """The float positions ``2 s`` and ``2 s + 1`` of each complex slot ``s``, in order."""
+    return (2 * np.frombuffer(slots, np.int64)[:, None] + np.arange(2)).ravel()
+
+
+class _Batch:
+    """The programs of one input signature, laid out as numpy arrays.
+
+    Round ``r`` runs step ``r`` of every term that has one, reading the
+    ``(re, im)`` rows of round ``r - 1`` (round 0 reads the inputs).  A
+    term's steps are its program's levels, its fused last level, then its
+    ``sqrt(k!)`` scales.  The tail sums each output entry, wherever its
+    last step left it, into its rank: the first appearance of its
+    occupation in the batch.
+    """
+
+    __slots__ = ("outputs", "_divided", "_divisors", "_weights", "_rounds", "_tail", "_invalid", "_keeps",
+                 "_successors")
+
+    def __init__(self, programs: list[_Program], occupations: list[tuple[int, ...]]):
+        rounds: list[tuple[array, array, array]] = []  # per round: source rows, weight rows, slots
+        sizes: list[int] = []
+        weights, ranks = _Numbering(), _Numbering()
+
+        def emit(r: int, size: int, slots, sources, ws, rows) -> int:
+            """Append one term's step ``r``, given as op columns; returns its first slot."""
+            if r == len(rounds):
+                rounds.append((array("q"), array("q"), array("q")))
+                sizes.append(0)
+            src, index, dst = rounds[r]
+            base = sizes[r]
+            sizes[r] += size
+            src.extend(map(rows.__getitem__, sources))
+            index.extend(map(weights.__getitem__, ws))
+            dst.extend(map(base.__add__, slots))
+            return base
+
+        tail_round, tail_row, tail_rank = array("q"), array("q"), array("q")
+        divided, divisors, over = array("q"), [], False
+        for t, (divs, levels, tail, over_t) in enumerate(programs):
+            over = over or over_t
+            if divs:
+                divided.append(t)
+                divisors.append(divs)
+            rows, r = (t,), 0  # the rows of the term's values in round r - 1
+            for size, ops in levels:
+                base = emit(r, size, *zip(*ops), rows)
+                rows, r = range(base, base + size), r + 1
+            sources, ws, ids, scales = zip(*tail)
+            n = len(tail)
+            if ws[0] is not None:
+                base = emit(r, n, range(n), sources, ws, rows)
+                rows, r = range(base, base + n), r + 1
+            rows = list(rows) if ws[0] is not None else [rows[src] for src in sources]
+            last = [r - 1] * n  # the round of each output's value
+            scaled = [e for e, scale in enumerate(scales) if scale is not None]
+            if scaled:
+                base = emit(r, len(scaled), range(len(scaled)), scaled, [scales[e] for e in scaled], rows)
+                for k, e in enumerate(scaled, base):
+                    last[e], rows[e] = r, k
+            tail_round.extend(last)
+            tail_row.extend(rows)
+            tail_rank.extend(map(ranks.__getitem__, ids))
+
+        # keyed as numbers, a weight and one whose zero part has the other sign
+        # share a row: their products differ only in the sign of a zero
+        self._weights = np.array([[(w.real, -w.imag), (w.imag, w.real)] for w in weights]).reshape(-1, 2, 2)
+        self._rounds = tuple(
+            (
+                np.frombuffer(src, np.int64).repeat(2).reshape(-1, 2),
+                np.frombuffer(index, np.int64),
+                None if dst == array("q", range(size)) else _pairs(dst),  # no sum if one op per slot
+                size,
+            )
+            for (src, index, dst), size in zip(rounds, sizes)
+        )
+        starts = np.cumsum([0, len(programs), *sizes])  # of the inputs and each round, laid end to end
+        rows = np.frombuffer(tail_row, np.int64) + starts[np.frombuffer(tail_round, np.int64) + 1]
+        self._tail = rows, _pairs(tail_rank)
+        self._divided = None if len(divided) == len(programs) else np.frombuffer(divided, np.int64)
+        # each divided term's divisors in turn, for both parts; 1.0 (exact) pads the shorter lists
+        width = max(map(len, divisors), default=0)
+        table = np.array([divs + (1.0,) * (width - len(divs)) for divs in divisors]).reshape(len(divisors), width)
+        self._divisors = table.T[:, :, None].repeat(2, axis=2)
+        self.outputs = tuple(map(occupations.__getitem__, ranks))
+        invalid = (max(occ) > MAX_OCCUPANCY for occ in self.outputs)
+        self._invalid = np.fromiter(invalid, bool, len(self.outputs)) if over else None
+        self._keeps: dict[tuple, np.ndarray] = {}  # selection key -> whether it keeps each output
+        # next element -> keep mask bytes -> its batch; weak, so that a batch
+        # that outlives a circuit does not keep the circuit's later elements alive
+        self._successors: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+    def run(self, amplitudes: np.ndarray) -> np.ndarray:
+        """The output amplitudes, in rank order, of input amplitudes (an array this call may overwrite)."""
+        inputs = amplitudes.view(float).reshape(-1, 2)
+        if len(self._divisors):
+            x = inputs if self._divided is None else inputs[self._divided]
+            x += x * 0.0  # the zero products of the first complex-by-float division
+            for d in self._divisors:
+                x /= d
+            if self._divided is not None:
+                inputs[self._divided] = x
+        values = [inputs]
+        for src, index, dst, size in self._rounds:
+            # each op's source row twice, times its weight rows (w.re, -w.im) and (w.im, w.re)
+            q = values[-1].take(src, 0)
+            q *= self._weights.take(index, 0)
+            q = np.add(q[..., 0], q[..., 1])
+            values.append(q if dst is None else np.bincount(dst, q.ravel(), 2 * size).reshape(-1, 2))
+        rows, dst = self._tail
+        return np.bincount(dst, np.concatenate(values).take(rows, 0).ravel(), 2 * len(self.outputs)).view(complex)
+
+    def survivors(self, register: ModeRegister, amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The outputs' magnitudes, and which survive pruning (``np.hypot`` gives ``abs``'s bits).
+
+        Past the photon cap, the first survivor that the public constructor
+        would refuse raises its ``CapacityError``.
+        """
+        magnitudes = np.hypot(amplitudes.real, amplitudes.imag)
+        keep = ~(magnitudes < PRUNE_THRESHOLD)
+        if self._invalid is not None:
+            for i in np.flatnonzero(keep & self._invalid)[:1].tolist():
+                _check_occupation(register, self.outputs[i])
+        return magnitudes, keep
+
+    def successor(self, element: ModeTransform, keep: np.ndarray) -> "_Batch":
+        """``element``'s batch for the outputs ``keep`` marks."""
+        by_mask = self._successors.get(element)
+        if by_mask is None:
+            by_mask = self._successors.setdefault(element, {})
+        batch = by_mask.get(mask := keep.tobytes())
+        if batch is None:
+            outputs = tuple(map(self.outputs.__getitem__, np.flatnonzero(keep).tolist()))
+            batch = by_mask.setdefault(mask, element._batch(outputs))
+        return batch
 
 
 def _expansion(row: tuple[tuple[int, complex], ...], m: int) -> _Expansion:
@@ -382,20 +488,41 @@ def apply_circuit(
 ) -> FockKet | tuple[FockKet | None, float]:
     """Apply the elements in order; with ``postselect``, project onto that pattern too.
 
-    Each element's surviving terms feed the next one directly, and only the
-    result is built as a ket, with the bits of applying the elements one by
-    one.  With ``postselect`` the result is ``(projected, probability)``,
-    bit for bit ``apply_circuit(ket, elements).project(postselect)``.
+    Each element's surviving amplitudes feed the next one as a numpy array,
+    and only the result is built as a ket, with the bits of applying the
+    elements one by one.  With ``postselect`` the result is
+    ``(projected, probability)``, bit for bit
+    ``apply_circuit(ket, elements).project(postselect)``.
     """
     register = ket.register
-    last = None
-    for element in elements:
-        if element.register != register:
-            raise ValueError("ket register does not match transform register")
-        out = element._replay(ket.items() if last is None else last._outputs(out))
-        last = element
-    if last is None:
-        return ket if postselect is None else ket.project(postselect)
-    if postselect is None:
-        return FockKet._from_valid(register, last._outputs(out))
-    return last._selected(out, _Selection(register, postselect))
+    batch = None
+    # Python's complex arithmetic never warns; numpy warns on an infinite or NaN part
+    with np.errstate(invalid="ignore", over="ignore"):
+        for element in elements:
+            if element.register != register:
+                raise ValueError("ket register does not match transform register")
+            if batch is None:
+                batch = element._batch(tuple(ket._terms))
+                amplitudes = np.fromiter(ket._terms.values(), complex, len(ket))
+            else:
+                keep = batch.survivors(register, amplitudes)[1]
+                batch = batch.successor(element, keep)
+                amplitudes = amplitudes[keep]
+            amplitudes = batch.run(amplitudes)
+        if batch is None:
+            return ket if postselect is None else ket.project(postselect)
+        if postselect is None:
+            if batch._invalid is not None:
+                batch.survivors(register, amplitudes)
+            # the ket prunes its terms as survivors does
+            return FockKet._from_valid(register, zip(batch.outputs, amplitudes.tolist()))
+        magnitudes, keep = batch.survivors(register, amplitudes)
+    selection = _Selection(register, postselect)
+    chosen = batch._keeps.get(selection.key)
+    if chosen is None:
+        chosen = np.fromiter(map(selection.keeps, batch.outputs), bool, len(batch.outputs))
+        chosen = batch._keeps.setdefault(selection.key, chosen)
+    chosen = np.flatnonzero(keep & chosen)
+    kept = dict(zip(map(batch.outputs.__getitem__, chosen.tolist()), amplitudes[chosen].tolist()))
+    # the norm sums each m**2 in order: libm's pow, as math.pow calls it, which m * m does not always match
+    return selection.projected(sum(map(math.pow, magnitudes[keep].tolist(), repeat(2.0))), kept)

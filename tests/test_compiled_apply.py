@@ -9,11 +9,13 @@ may post-select the result, against elements applied one by one and a
 ``project`` after them.
 """
 
+import gc
 import math
 import struct
 import sys
 import threading
 import time
+import weakref
 from functools import partial
 
 import numpy as np
@@ -279,6 +281,34 @@ def test_a_circuit_raises_at_the_element_whose_output_passes_the_cap(postselect)
         apply_circuit(ket, (first,), postselect)
 
 
+def test_a_warm_circuit_finds_later_batches_by_keep_mask(monkeypatch):
+    ket = FockKet(TRIPLE, {(1, 0, 1, 0, 0, 0): 0.6, (2, 0, 0, 0, 1, 0): 0.8})
+    elements = (bs_5050(TRIPLE, "a", "b"), bs_5050(TRIPLE, "a", "c"))
+    expected = bits(apply_circuit(ket, elements))
+    looked_up = []
+    lookup = ModeTransform._batch
+
+    def counting_lookup(self, occupations):
+        looked_up.append(elements.index(self))
+        return lookup(self, occupations)
+
+    monkeypatch.setattr(ModeTransform, "_batch", counting_lookup)
+    assert bits(apply_circuit(ket, elements)) == expected
+    # only the first element looks its signature up; the second is the first batch's successor
+    assert looked_up == [0]
+
+
+def test_a_shared_batch_does_not_keep_later_elements_alive():
+    shared = bs_5050(TRIPLE, "a", "b")
+    ket = FockKet(TRIPLE, {(1, 0, 1, 0, 0, 0): 1.0})
+    later = polarization_rotation(TRIPLE, "b", 0.3)
+    apply_circuit(ket, (shared, later))
+    gone = weakref.ref(later)
+    del later
+    gc.collect()
+    assert gone() is None
+
+
 PIPE = ModeRegister.polarized("a", "b", "c0", "c1", "c2", "c3", "d0", "d1", "d2", "d3")
 
 
@@ -431,27 +461,21 @@ class YieldingIds(dict):
         super().__setitem__(key, value)
 
 
-class YieldingMemo(list):
-    """A selection memo that lets other threads run for a while before it grows."""
+class YieldingBatches(dict):
+    """A batch table that lets other threads run for a while before it stores a batch."""
 
-    def extend(self, decisions):
+    def __setitem__(self, key, value):
         time.sleep(0.01)
-        super().extend(decisions)
+        super().__setitem__(key, value)
 
 
-class YieldingSelections(dict):
-    def setdefault(self, key, default):
-        return super().setdefault(key, YieldingMemo(default))
+def race(parts) -> None:
+    """Two threads, each building ``psi_theta`` at its angles on the same cold splitters, give serial bits."""
 
-
-def test_shared_preparation_gives_serial_bits_under_threads():
     def snapshot(theta: float) -> tuple:
         result = build_psi_theta(theta)
         return bits(result.state), struct.pack("<d", result.postselect_probability)
 
-    # the first angles differ in which terms the rotation keeps, so the two
-    # threads start by compiling different occupations into the same splitters
-    parts = ((0.0, 0.3, 1.1, 2.0), (math.pi / 2, 0.7, 2.5, 3.0))
     schemes._preparation.cache_clear()
     serial = {theta: snapshot(theta) for part in parts for theta in part}
     schemes._preparation.cache_clear()
@@ -459,7 +483,7 @@ def test_shared_preparation_gives_serial_bits_under_threads():
     assert not any(splitter._programs for splitter in splitters)
     for splitter in splitters:
         splitter._ids = YieldingIds()
-        splitter._selections = YieldingSelections()
+        splitter._batches = YieldingBatches()
     threaded = {}
     start = threading.Barrier(2)
 
@@ -481,3 +505,15 @@ def test_shared_preparation_gives_serial_bits_under_threads():
         schemes._preparation.cache_clear()  # later tests get splitters with plain tables
     assert not any(worker.is_alive() for worker in workers)
     assert threaded == serial
+
+
+def test_shared_preparation_gives_serial_bits_under_threads():
+    # the first angles differ in which terms the rotation keeps, so the two
+    # threads start by compiling different occupations into the same splitters
+    race(((0.0, 0.3, 1.1, 2.0), (math.pi / 2, 0.7, 2.5, 3.0)))
+
+
+def test_threads_compiling_the_same_signature_cold_give_serial_bits():
+    # both threads start at the same angle, so they reach every splitter with
+    # the same input signature, cold, at once
+    race(((0.3, 1.1, 0.0), (0.3, 0.0, 1.1)))

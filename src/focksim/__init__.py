@@ -33,7 +33,6 @@ from .elements import (
     apply_circuit,
     bs_5050,
     bs_unbalanced,
-    identity,
     pbs,
     polarization_rotation,
 )

@@ -9,22 +9,22 @@ norm are conserved to machine precision.
 The substitution rows are built once, at construction; they keep the
 matrix's numpy scalars, from which the expansion weights are computed, and
 each weight is stored as a Python ``complex`` (an exact conversion).  Each
-input occupation gets one program, compiled once: the ``sqrt(m!)`` divisors
-of the amplitude, a level of ``(dst, src, weight)`` multiply-adds per moved
-mode (a last level that writes each slot once is fused into the tail as its
-weights), and a tail naming each output occupation's id, numbered as
-programs first produce them, with its ``sqrt(k!)`` scale.
+input mode's expansion at each occupancy is computed once.
 
-Each input signature (a ket's occupations, in order) then gets one batch:
-its terms' programs laid out once as numpy arrays and run round by round,
-each round one step of every term, over ``(re, im)`` float rows.  Each
-operation keeps the bits of the Python arithmetic the replay did:
+Each input signature (a ket's occupations, in order) gets one batch, laid
+out once from those expansions as numpy arrays and run round by round,
+each round one step of every term, over ``(re, im)`` float rows.  A term
+divides its amplitude by its ``sqrt(m!)`` divisors, takes a round of
+``(dst, src, weight)`` multiply-adds per moved mode, then one round of
+``sqrt(k!)`` scales; its outputs are numbered by their first appearance in
+the batch.  Each operation keeps the bits of the per-term Python
+arithmetic it replaced:
 
 - a product is CPython's complex product on split floats, a float product
   and one float sum per part (numpy's complex multiply may fuse, so it is
   not used);
 - ``np.bincount`` sums into each slot and output in op order, from ``0.0``,
-  as the replay's lists and dict did; a round that writes each slot once
+  as Python's lists and dict did; a round that writes each slot once
   skips that ``0.0 +``, which changes at most the sign of a zero part;
 - divisors apply in turn as float divisions (numpy's complex division uses
   a reciprocal).  CPython's complex-by-float division also adds zero
@@ -42,10 +42,10 @@ outputs :meth:`FockKet.project` would keep, and gives that ``project``'s bits.
 
 A transform may be shared for the life of a process (the symmetry detector
 keeps one splitter per register, the preparation pipeline its four
-splitters, the GHZ readout its six taps).  Programs and batches depend only
-on the rows and the occupations, and compile under a lock, so a shared
-transform gives a fresh one's bits, from any thread; its memory grows with
-the distinct occupations and signatures it has seen, and no further.
+splitters, the GHZ readout its six taps).  Expansions and batches depend
+only on the rows and the occupations, and each compiles once, under a
+lock, so a shared transform gives a fresh one's bits, from any thread; its
+memory grows with the distinct signatures it has seen, and no further.
 
 Photon number is conserved, so the outputs of terms holding at most
 ``MAX_OCCUPANCY`` photons are valid by construction and the result is built
@@ -74,19 +74,13 @@ UNITARITY_TOLERANCE = 1e-12
 # one (assignment, weight) per way to share an input mode's photons over its
 # row's output modes; an assignment lists (output mode, photons) pairs
 _Expansion = list[tuple[tuple[tuple[int, int], ...], complex]]
-# what apply does for one input occupation: the amplitude's divisors; per
-# moved mode but a fused last one, (size, (dst, src, weight) ops); the tail's
-# (src, weight or None, output id, scale or None) per output; and whether the
-# term holds more than MAX_OCCUPANCY photons
-_Program = tuple[tuple, tuple, tuple, bool]
 
 
 class ModeTransform:
     """Unitary substitution rule on the creation operators of a register."""
 
     __slots__ = (
-        "_register", "_matrix", "_rows", "_moved", "_expansions",
-        "_programs", "_ids", "_occupations", "_compiling", "_batches", "__weakref__",
+        "_register", "_matrix", "_rows", "_moved", "_expansions", "_compiling", "_batches", "__weakref__",
     )
 
     def __init__(self, register: ModeRegister, matrix: np.ndarray):
@@ -107,16 +101,11 @@ class ModeTransform:
         )
         # input modes whose row is not exactly a_i^dag -> a_i^dag
         self._moved = tuple(i for i, row in enumerate(self._rows) if row != ((i, 1.0),))
-        # (input mode, occupancy) -> its multinomial expansion, filled by _compile
+        # (input mode, occupancy) -> its multinomial expansion, filled as batches compile
         self._expansions: dict[tuple[int, int], _Expansion] = {}
-        # input occupation -> its compiled program, filled by _batch
-        self._programs: dict[tuple[int, ...], _Program] = {}
-        # output occupation <-> id, numbered as programs first produce them
-        self._ids: dict[tuple[int, ...], int] = {}
-        self._occupations: list[tuple[int, ...]] = []
-        # held while a batch and its programs compile, one thread at a time
+        # held while a batch and its expansions compile, one thread at a time
         self._compiling = threading.Lock()
-        # input signature (the ordered input occupations) -> its batch program
+        # input signature (the ordered input occupations) -> its batch
         self._batches: dict[tuple[tuple[int, ...], ...], _Batch] = {}
 
     @property
@@ -127,84 +116,19 @@ class ModeTransform:
     def matrix(self) -> np.ndarray:
         return self._matrix
 
-    def then(self, later: "ModeTransform") -> "ModeTransform":
-        """Single transform equivalent to applying ``self`` first, then ``later``."""
-        if self._register != later._register:
-            raise ValueError("cannot compose transforms on different registers")
-        return ModeTransform(self._register, self._matrix @ later._matrix)
-
     def apply(self, ket: FockKet) -> FockKet:
         """Substitute and re-expand every creation operator of the ket."""
         return apply_circuit(ket, (self,))
 
-    def _batch(self, occupations: tuple[tuple[int, ...], ...]) -> "_Batch":
-        """The batch program of one input signature, compiled on first use under the lock."""
-        batch = self._batches.get(occupations)
+    def _batch(self, signature: tuple[tuple[int, ...], ...]) -> "_Batch":
+        """The batch of one input signature, compiled on first use under the lock."""
+        batch = self._batches.get(signature)
         if batch is None:
             with self._compiling:
-                batch = self._batches.get(occupations)
+                batch = self._batches.get(signature)
                 if batch is None:
-                    programs = []
-                    for occ in occupations:
-                        program = self._programs.get(occ)
-                        if program is None:
-                            program = self._programs[occ] = self._compile(occ)
-                        programs.append(program)
-                    batch = self._batches[occupations] = _Batch(programs, self._occupations)
+                    batch = self._batches[signature] = _Batch(self, signature)
         return batch
-
-    def _compile(self, occ: tuple[int, ...]) -> _Program:
-        """The steps ``apply`` takes for one input occupation, in the order it takes them."""
-        # an output mode can exceed the cap only if the term holds more
-        # photons; such a term reads its output factors from a longer table
-        total = sum(occ)
-        sqrt_fact = _sqrt_factorials(total) if total > MAX_OCCUPANCY else _SQRT_FACT
-        # sqrt(0!) = sqrt(1!) = 1.0: dividing or multiplying by it changes at
-        # most the sign of a zero part, which the first sum into ``out``
-        # clears, so only the larger factors are applied
-        divisors = tuple(_SQRT_FACT[m] for m in occ if m > 1)
-        # photons of modes the transform leaves in place start where they
-        # are; expanding them would multiply by exactly 1 + 0j
-        start = list(occ)
-        for i in self._moved:
-            start[i] = 0
-        keys: list[tuple[int, ...]] = [tuple(start)]
-        levels = []
-        for i in self._moved:
-            m = occ[i]
-            if m == 0:
-                continue
-            expansion = self._expansions.get((i, m))
-            if expansion is None:
-                expansion = self._expansions[(i, m)] = _expansion(self._rows[i], m)
-            # multiply every partial term by the mode's expansion; a key's
-            # slot is its first appearance, as in an insertion-ordered dict
-            slots: dict[tuple[int, ...], int] = {}
-            ops = []
-            for src, powers in enumerate(keys):
-                for assignment, weight in expansion:
-                    lifted = list(powers)
-                    for j, k in assignment:
-                        lifted[j] += k
-                    ops.append((slots.setdefault(tuple(lifted), len(slots)), src, weight))
-            levels.append((len(slots), tuple(ops)))
-            keys = list(slots)
-        # a last level that writes each slot once (its ops then run in slot
-        # order) is fused into the tail; its ``0.0 +`` is skipped, as above
-        fused = levels.pop()[1] if levels and len(levels[-1][1]) == levels[-1][0] else None
-        tail = []
-        for slot, powers in enumerate(keys):
-            scale = 1.0
-            for p in powers:
-                if p > 1:
-                    scale *= sqrt_fact[p]
-            i = self._ids.get(powers)
-            if i is None:
-                i = self._ids[powers] = len(self._occupations)
-                self._occupations.append(powers)
-            src, weight = fused[slot][1:] if fused else (slot, None)
-            tail.append((src, weight, i, None if scale == 1.0 else scale))
-        return divisors, tuple(levels), tuple(tail), total > MAX_OCCUPANCY
 
     def __repr__(self) -> str:
         return f"ModeTransform(on {self._register!r})"
@@ -224,11 +148,11 @@ def _pairs(slots: array) -> np.ndarray:
 
 
 class _Batch:
-    """The programs of one input signature, laid out as numpy arrays.
+    """One input signature's terms, laid out from their expansions as numpy arrays.
 
     Round ``r`` runs step ``r`` of every term that has one, reading the
     ``(re, im)`` rows of round ``r - 1`` (round 0 reads the inputs).  A
-    term's steps are its program's levels, its fused last level, then its
+    term's steps are one level per moved mode it occupies, then its
     ``sqrt(k!)`` scales.  The tail sums each output entry, wherever its
     last step left it, into its rank: the first appearance of its
     occupation in the batch.
@@ -237,10 +161,11 @@ class _Batch:
     __slots__ = ("outputs", "_divided", "_divisors", "_weights", "_rounds", "_tail", "_invalid", "_keeps",
                  "_successors")
 
-    def __init__(self, programs: list[_Program], occupations: list[tuple[int, ...]]):
+    def __init__(self, transform: ModeTransform, signature: tuple[tuple[int, ...], ...]):
         rounds: list[tuple[array, array, array]] = []  # per round: source rows, weight rows, slots
         sizes: list[int] = []
         weights, ranks = _Numbering(), _Numbering()
+        expansions = transform._expansions
 
         def emit(r: int, size: int, slots, sources, ws, rows) -> int:
             """Append one term's step ``r``, given as op columns; returns its first slot."""
@@ -257,30 +182,63 @@ class _Batch:
 
         tail_round, tail_row, tail_rank = array("q"), array("q"), array("q")
         divided, divisors, over = array("q"), [], False
-        for t, (divs, levels, tail, over_t) in enumerate(programs):
-            over = over or over_t
+        for t, occ in enumerate(signature):
+            # an output mode can exceed the cap only if the term holds more
+            # photons; such a term reads its output factors from a longer table
+            total = sum(occ)
+            over = over or total > MAX_OCCUPANCY
+            sqrt_fact = _sqrt_factorials(total) if total > MAX_OCCUPANCY else _SQRT_FACT
+            # sqrt(0!) = sqrt(1!) = 1.0: dividing or multiplying by it changes at
+            # most the sign of a zero part, which the first sum into an output
+            # clears, so only the larger factors are applied
+            divs = tuple(_SQRT_FACT[m] for m in occ if m > 1)
             if divs:
                 divided.append(t)
                 divisors.append(divs)
+            # photons of modes the transform leaves in place start where they
+            # are; expanding them would multiply by exactly 1 + 0j
+            start = list(occ)
+            for i in transform._moved:
+                start[i] = 0
+            keys = [tuple(start)]
             rows, r = (t,), 0  # the rows of the term's values in round r - 1
-            for size, ops in levels:
-                base = emit(r, size, *zip(*ops), rows)
-                rows, r = range(base, base + size), r + 1
-            sources, ws, ids, scales = zip(*tail)
-            n = len(tail)
-            if ws[0] is not None:
-                base = emit(r, n, range(n), sources, ws, rows)
-                rows, r = range(base, base + n), r + 1
-            rows = list(rows) if ws[0] is not None else [rows[src] for src in sources]
-            last = [r - 1] * n  # the round of each output's value
-            scaled = [e for e, scale in enumerate(scales) if scale is not None]
+            for i in transform._moved:
+                m = occ[i]
+                if m == 0:
+                    continue
+                expansion = expansions.get((i, m))
+                if expansion is None:
+                    expansion = expansions[(i, m)] = _expansion(transform._rows[i], m)
+                # multiply every partial term by the mode's expansion; a key's
+                # slot is its first appearance, as in an insertion-ordered dict
+                slots: dict[tuple[int, ...], int] = {}
+                ops = []
+                for src, powers in enumerate(keys):
+                    for assignment, weight in expansion:
+                        lifted = list(powers)
+                        for j, k in assignment:
+                            lifted[j] += k
+                        ops.append((slots.setdefault(tuple(lifted), len(slots)), src, weight))
+                base = emit(r, len(slots), *zip(*ops), rows)
+                keys, rows, r = slots, range(base, base + len(slots)), r + 1
+            rows = list(rows)
+            last = [r - 1] * len(keys)  # the round of each output's value
+            scaled, scales = [], []
+            for e, powers in enumerate(keys):
+                scale = 1.0
+                for p in powers:
+                    if p > 1:
+                        scale *= sqrt_fact[p]
+                if scale != 1.0:
+                    scaled.append(e)
+                    scales.append(scale)
             if scaled:
-                base = emit(r, len(scaled), range(len(scaled)), scaled, [scales[e] for e in scaled], rows)
+                base = emit(r, len(scaled), range(len(scaled)), scaled, scales, rows)
                 for k, e in enumerate(scaled, base):
                     last[e], rows[e] = r, k
             tail_round.extend(last)
             tail_row.extend(rows)
-            tail_rank.extend(map(ranks.__getitem__, ids))
+            tail_rank.extend(map(ranks.__getitem__, keys))
 
         # keyed as numbers, a weight and one whose zero part has the other sign
         # share a row: their products differ only in the sign of a zero
@@ -294,15 +252,15 @@ class _Batch:
             )
             for (src, index, dst), size in zip(rounds, sizes)
         )
-        starts = np.cumsum([0, len(programs), *sizes])  # of the inputs and each round, laid end to end
+        starts = np.cumsum([0, len(signature), *sizes])  # of the inputs and each round, laid end to end
         rows = np.frombuffer(tail_row, np.int64) + starts[np.frombuffer(tail_round, np.int64) + 1]
         self._tail = rows, _pairs(tail_rank)
-        self._divided = None if len(divided) == len(programs) else np.frombuffer(divided, np.int64)
+        self._divided = None if len(divided) == len(signature) else np.frombuffer(divided, np.int64)
         # each divided term's divisors in turn, for both parts; 1.0 (exact) pads the shorter lists
         width = max(map(len, divisors), default=0)
         table = np.array([divs + (1.0,) * (width - len(divs)) for divs in divisors]).reshape(len(divisors), width)
         self._divisors = table.T[:, :, None].repeat(2, axis=2)
-        self.outputs = tuple(map(occupations.__getitem__, ranks))
+        self.outputs = tuple(ranks)
         invalid = (max(occ) > MAX_OCCUPANCY for occ in self.outputs)
         self._invalid = np.fromiter(invalid, bool, len(self.outputs)) if over else None
         self._keeps: dict[tuple, np.ndarray] = {}  # selection key -> whether it keeps each output
@@ -373,10 +331,6 @@ def _expansion(row: tuple[tuple[int, complex], ...], m: int) -> _Expansion:
 
     split(0, m, [], complex(math.factorial(m)))
     return expansions
-
-
-def identity(register: ModeRegister) -> ModeTransform:
-    return ModeTransform(register, np.eye(len(register)))
 
 
 def _embedded(register: ModeRegister, blocks: Iterable[tuple[tuple[int, ...], tuple]]) -> ModeTransform:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
+from itertools import compress
 from typing import Iterable, Iterator, Mapping
 
 MAX_OCCUPANCY = 15
@@ -371,15 +372,16 @@ class FockKet:
 
         Every term must have zero occupation in the dropped modes.
         """
-        keep_set = set(spatials)
-        keep = [i for i, (s, _) in enumerate(self._register.modes) if s in keep_set]
-        drop = [i for i in range(len(self._register)) if i not in set(keep)]
+        keep = set(spatials)
+        kept_modes = [spatial in keep for spatial, _ in self._register.modes]
         out: dict[tuple[int, ...], complex] = {}
         for occ, amp in self._terms.items():
-            if any(occ[i] for i in drop):
+            kept = tuple(compress(occ, kept_modes))
+            # occupations are non-negative, so a dropped mode is occupied if and only if photons go missing
+            if sum(kept) != sum(occ):
                 raise ValueError("cannot drop occupied modes from a ket")
-            out[tuple(occ[i] for i in keep)] = amp
-        register = ModeRegister(self._register.modes[i] for i in keep)
+            out[kept] = amp
+        register = ModeRegister(compress(self._register.modes, kept_modes))
         return FockKet._from_valid(register, out)
 
     def extended(self, extra: Iterable[tuple[str, str]]) -> "FockKet":

@@ -1,9 +1,9 @@
-"""``ModeTransform.apply`` replays programs with the arithmetic of the path they replaced.
+"""``ModeTransform.apply`` runs compiled batches with the arithmetic of the path they replaced.
 
-``expansion_path_apply`` below is ``apply`` as it was before programs: every
-term is re-expanded through one dict per moved mode.  A replay must give the
-same output keys in the same order and the same amplitude bits, whether the
-transform is fresh or has already compiled the occupations it meets.  So
+``expansion_path_apply`` below is ``apply`` as it was before compiling:
+every term is re-expanded through one dict per moved mode.  A batch must
+give the same output keys in the same order and the same amplitude bits,
+whether the transform is fresh or has already compiled what it meets.  So
 must ``apply_circuit``, which feeds each element's terms to the next and
 may post-select the result, against elements applied one by one and a
 ``project`` after them.
@@ -16,6 +16,7 @@ import sys
 import threading
 import time
 import weakref
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -170,61 +171,38 @@ def test_replay_matches_the_expansion_path_cold_and_warm(case):
     make, ket, other = case
     expected = bits(expansion_path_apply(make(), ket))
     transform = make()
-    assert bits(transform.apply(ket)) == expected  # compiles every occupation
-    assert bits(transform.apply(ket)) == expected  # replays every occupation
-    # warmed by another ket first: some programs are found, others compiled
+    assert bits(transform.apply(ket)) == expected  # compiles the ket's batch
+    assert bits(transform.apply(ket)) == expected  # runs the compiled batch
+    # warmed by another ket first: some expansions are found, others computed
     shared = make()
     assert bits(shared.apply(other)) == bits(expansion_path_apply(make(), other))
     assert bits(shared.apply(ket)) == expected
 
 
-def test_a_program_is_compiled_once_per_occupation():
+def test_a_batch_is_compiled_once_per_signature():
     transform = bs_5050(TRIPLE, "a", "b")
     ket = FockKet(TRIPLE, {(1, 0, 1, 0, 0, 0): 0.6, (2, 0, 0, 0, 1, 0): 0.8})
     transform.apply(ket)
-    programs = dict(transform._programs)
-    assert set(programs) == {occ for occ, _ in ket.items()}
+    batches = dict(transform._batches)
+    assert list(batches) == [((1, 0, 1, 0, 0, 0), (2, 0, 0, 0, 1, 0))]
+    expansions = dict(transform._expansions)
     transform.apply(FockKet(TRIPLE, {(1, 0, 1, 0, 0, 0): 1.0}))
-    assert all(transform._programs[occ] is program for occ, program in programs.items())
+    transform.apply(ket)
+    assert len(transform._batches) == 2
+    assert all(transform._batches[signature] is batch for signature, batch in batches.items())
+    # the second signature's terms reuse the expansions the first computed
+    assert transform._expansions == expansions
+    assert all(transform._expansions[key] is expansion for key, expansion in expansions.items())
 
 
-def test_replay_reuses_the_program_key_tuples():
+def test_a_batch_reuses_its_output_tuples():
     transform = bs_5050(TRIPLE, "a", "b")
     ket = FockKet(TRIPLE, {(2, 0, 0, 0, 0, 0): 1.0})
     first = transform.apply(ket)
-    _, _, tail, _ = transform._programs[(2, 0, 0, 0, 0, 0)]
-    keys = [transform._occupations[i] for _, _, i, _ in tail]
-    assert keys == [occ for occ, _ in first.items()]
-    for powers, (occ, _) in zip(keys, transform.apply(ket).items()):
-        assert occ is powers
-
-
-@settings(deadline=None, max_examples=100)
-@given(case=transform_and_kets())
-def test_a_program_tail_names_each_unfused_output_once_in_slot_order(case):
-    make, ket, _ = case
-    transform = make()
-    transform.apply(ket)
-    for occ, _ in ket.items():
-        _, levels, tail, _ = transform._programs[occ]
-        outputs = list(_expanded(transform, occ, 1.0, {}))
-        assert [transform._occupations[i] for _, _, i, _ in tail] == outputs
-        # a fused tail replaces the last level; an unfused one reads every slot once
-        fused = tail[0][1] is not None
-        assert all((weight is not None) == fused for _, weight, _, _ in tail)
-        assert len(levels) == sum(1 for i in transform._moved if occ[i]) - fused
-        if not fused:
-            assert [src for src, _, _, _ in tail] == list(range(len(tail)))
-        for _, _, _, scale in tail:
-            assert scale is None or scale != 1.0
-
-
-def test_a_colliding_last_level_stays_a_level():
-    transform = bs_5050(TRIPLE, "a", "b")
-    transform.apply(FockKet(TRIPLE, {(2, 0, 0, 0, 0, 0): 0.6, (1, 0, 1, 0, 0, 0): 0.8}))
-    # (a + b)^2 / 2 writes three slots once each; (a + b)(b - a) writes a.b twice
-    assert all(weight is not None for _, weight, _, _ in transform._programs[(2, 0, 0, 0, 0, 0)][2])
-    assert all(weight is None for _, weight, _, _ in transform._programs[(1, 0, 1, 0, 0, 0)][2])
+    outputs = transform._batches[((2, 0, 0, 0, 0, 0),)].outputs
+    assert [occ for occ, _ in first.items()] == list(outputs)
+    for result in (first, transform.apply(ket)):
+        assert all(occ is powers for (occ, _), powers in zip(result.items(), outputs))
 
 
 @pytest.mark.parametrize("amp", [1.0, complex(0.6, -0.0), complex(-0.0, -0.8), complex(-0.6, 0.8)])
@@ -254,8 +232,11 @@ def test_terms_past_the_cap_take_the_checked_path(terms):
     expected = bits(expansion_path_apply(transform, ket))
     assert bits(transform.apply(ket)) == expected
     assert bits(transform.apply(ket)) == expected
-    over = [transform._programs[occ][3] for occ in terms]
-    assert over == [sum(occ) > MAX_OCCUPANCY for occ in terms]
+    # only a batch with a term past the cap checks its outputs, and it marks
+    # exactly the outputs that pass it
+    batch = transform._batches[tuple(terms)]
+    assert batch._invalid is not None
+    assert batch._invalid.tolist() == [max(occ) > MAX_OCCUPANCY for occ in batch.outputs]
 
 
 @pytest.mark.parametrize("occ", [(8, 0, 8, 0, 0, 0), (9, 0, 9, 0, 0, 0), (0, 8, 0, 8, 1, 0)])
@@ -271,12 +252,12 @@ def test_output_past_the_cap_raises_cold_and_warm(occ):
 
 @pytest.mark.parametrize("postselect", [None, {"c": 0}])
 def test_a_circuit_raises_at_the_element_whose_output_passes_the_cap(postselect):
-    # the first splitter puts 16 photons into one mode; the second never replays
+    # the first splitter puts 16 photons into one mode; the second never runs
     ket = FockKet.basis(TRIPLE, (8, 0, 8, 0, 0, 0))
     first, second = bs_5050(TRIPLE, "a", "b"), bs_5050(TRIPLE, "a", "c")
     with pytest.raises(CapacityError):
         apply_circuit(ket, (first, second), postselect)
-    assert first._programs and not second._programs
+    assert first._batches and not second._batches
     with pytest.raises(CapacityError):
         apply_circuit(ket, (first,), postselect)
 
@@ -368,7 +349,7 @@ def test_ghz_readouts_build_their_taps_once(monkeypatch):
 
 @pytest.mark.parametrize("theta", [0.0, 0.3, 1.1, math.pi / 2])
 def test_psi_theta_on_shared_splitters_matches_the_expansion_path(theta):
-    build_psi_theta(0.7)  # the shared splitters hold programs before the check
+    build_psi_theta(0.7)  # the shared splitters hold batches before the check
     result = build_psi_theta(theta)
     state, probability = expansion_path_psi_theta(theta)
     assert bits(result.state) == bits(state)
@@ -449,28 +430,42 @@ def test_postselected_circuit_matches_the_chained_expansion_path(makers, ket, pa
         assert outcome(lambda: apply_circuit(ket, elements, postselect=select)) == expected
 
 
-class YieldingIds(dict):
-    """An id table that lets other threads run while it records an id.
+class YieldingExpansions(dict):
+    """An expansion table that lets other threads run before it stores an expansion, and counts stores.
 
     CPython 3.11 does not switch threads inside the few bytecodes that
-    assign an id, so without this a missing lock would go unseen.
+    store an expansion, so without this a missing lock would go unseen.
     """
+
+    def __init__(self):
+        super().__init__()
+        self.stores = Counter()
 
     def __setitem__(self, key, value):
         time.sleep(0)
+        self.stores[key] += 1
         super().__setitem__(key, value)
 
 
 class YieldingBatches(dict):
-    """A batch table that lets other threads run for a while before it stores a batch."""
+    """A batch table that lets other threads run for a while before it stores a batch, and counts stores."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores = Counter()
 
     def __setitem__(self, key, value):
         time.sleep(0.01)
+        self.stores[key] += 1
         super().__setitem__(key, value)
 
 
 def race(parts) -> None:
-    """Two threads, each building ``psi_theta`` at its angles on the same cold splitters, give serial bits."""
+    """Two threads, each building ``psi_theta`` at its angles on the same cold splitters, give serial bits.
+
+    Each splitter compiles each expansion and each batch once, however the
+    threads interleave.
+    """
 
     def snapshot(theta: float) -> tuple:
         result = build_psi_theta(theta)
@@ -480,9 +475,9 @@ def race(parts) -> None:
     serial = {theta: snapshot(theta) for part in parts for theta in part}
     schemes._preparation.cache_clear()
     _, splitters = schemes._preparation()  # both threads share these, cold
-    assert not any(splitter._programs for splitter in splitters)
+    assert not any(splitter._batches for splitter in splitters)
     for splitter in splitters:
-        splitter._ids = YieldingIds()
+        splitter._expansions = YieldingExpansions()
         splitter._batches = YieldingBatches()
     threaded = {}
     start = threading.Barrier(2)
@@ -505,6 +500,9 @@ def race(parts) -> None:
         schemes._preparation.cache_clear()  # later tests get splitters with plain tables
     assert not any(worker.is_alive() for worker in workers)
     assert threaded == serial
+    for splitter in splitters:
+        for table in (splitter._expansions, splitter._batches):
+            assert table.stores and set(table.stores.values()) == {1}
 
 
 def test_shared_preparation_gives_serial_bits_under_threads():

@@ -1,15 +1,17 @@
 """The batch kernel of ``apply_circuit`` against the per-term replay it replaced, bit for bit.
 
-The replay summed every term's program into a dict keyed by output id,
-pruned with ``abs`` and, with ``postselect``, summed ``m**2`` over the
-surviving outputs and kept the selected ones.  It is written out below
-over the programs that ``ModeTransform._compile`` still builds, and every
-result is compared with ``float.hex``: key order, each amplitude's parts,
-the post-selection probability and which element raises ``CapacityError``.
+The replay compiled one program per input occupation, summed every term's
+program into a dict keyed by output id, pruned with ``abs`` and, with
+``postselect``, summed ``m**2`` over the surviving outputs and kept the
+selected ones.  Both are written out below, with tables of their own, and
+every result is compared with ``float.hex``: key order, each amplitude's
+parts, the post-selection probability and which element raises
+``CapacityError``.
 """
 
 import math
 import random
+import weakref
 from functools import partial
 
 import numpy as np
@@ -17,19 +19,89 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from focksim import CapacityError, FockKet, ModeRegister, ModeTransform, apply_circuit
-from focksim.elements import bs_5050, bs_unbalanced, pbs, polarization_rotation
-from focksim.fock import MAX_OCCUPANCY, PRUNE_THRESHOLD, _check_occupation, _Selection
+from focksim.elements import _expansion, bs_5050, bs_unbalanced, pbs, polarization_rotation
+from focksim.fock import _SQRT_FACT, MAX_OCCUPANCY, PRUNE_THRESHOLD, _check_occupation, _Selection
+from focksim.fock import _sqrt_factorials
+
+
+class Tables:
+    """One transform's compiled programs and output ids, as the replay kept them."""
+
+    def __init__(self):
+        self.expansions = {}
+        self.programs = {}
+        self.ids = {}
+        self.occupations = []
+
+
+TABLES: "weakref.WeakKeyDictionary[ModeTransform, Tables]" = weakref.WeakKeyDictionary()
+
+
+def tables(transform) -> Tables:
+    return TABLES.setdefault(transform, Tables())
+
+
+def old_compile(transform, occ) -> tuple:
+    """``ModeTransform._compile`` as it was: the steps the replay took for one input occupation.
+
+    A program is the amplitude's divisors; per moved mode but a fused last
+    one, ``(size, (dst, src, weight) ops)``; the tail's ``(src, weight or
+    None, output id, scale or None)`` per output; and whether the term holds
+    more than MAX_OCCUPANCY photons.
+    """
+    own = tables(transform)
+    total = sum(occ)
+    sqrt_fact = _sqrt_factorials(total) if total > MAX_OCCUPANCY else _SQRT_FACT
+    divisors = tuple(_SQRT_FACT[m] for m in occ if m > 1)
+    start = list(occ)
+    for i in transform._moved:
+        start[i] = 0
+    keys = [tuple(start)]
+    levels = []
+    for i in transform._moved:
+        m = occ[i]
+        if m == 0:
+            continue
+        expansion = own.expansions.get((i, m))
+        if expansion is None:
+            expansion = own.expansions[(i, m)] = _expansion(transform._rows[i], m)
+        slots = {}
+        ops = []
+        for src, powers in enumerate(keys):
+            for assignment, weight in expansion:
+                lifted = list(powers)
+                for j, k in assignment:
+                    lifted[j] += k
+                ops.append((slots.setdefault(tuple(lifted), len(slots)), src, weight))
+        levels.append((len(slots), tuple(ops)))
+        keys = list(slots)
+    # a last level that writes each slot once is fused into the tail as its weights
+    fused = levels.pop()[1] if levels and len(levels[-1][1]) == levels[-1][0] else None
+    tail = []
+    for slot, powers in enumerate(keys):
+        scale = 1.0
+        for p in powers:
+            if p > 1:
+                scale *= sqrt_fact[p]
+        i = own.ids.get(powers)
+        if i is None:
+            i = own.ids[powers] = len(own.occupations)
+            own.occupations.append(powers)
+        src, weight = fused[slot][1:] if fused else (slot, None)
+        tail.append((src, weight, i, None if scale == 1.0 else scale))
+    return divisors, tuple(levels), tuple(tail), total > MAX_OCCUPANCY
 
 
 def old_replay(transform, terms) -> dict:
     """``ModeTransform._replay`` as it was: every term's program, summed into a dict keyed by output id."""
+    programs = tables(transform).programs
     out = {}
     get = out.get
     over_cap = False
     for occ, amp in terms:
-        program = transform._programs.get(occ)
+        program = programs.get(occ)
         if program is None:
-            program = transform._programs[occ] = transform._compile(occ)
+            program = programs[occ] = old_compile(transform, occ)
         divisors, levels, tail, over = program
         over_cap = over_cap or over
         for d in divisors:
@@ -50,12 +122,12 @@ def old_replay(transform, terms) -> dict:
 
 
 def old_outputs(transform, out: dict) -> list:
-    occupations = transform._occupations
+    occupations = tables(transform).occupations
     return [(occupations[i], amp) for i, amp in out.items() if not abs(amp) < PRUNE_THRESHOLD]
 
 
 def old_selected(transform, out: dict, selection: _Selection):
-    occupations = transform._occupations
+    occupations = tables(transform).occupations
     squares = [m**2 for m in map(abs, out.values()) if not m < PRUNE_THRESHOLD]
     kept = {
         occupations[i]: amp
@@ -88,7 +160,8 @@ def outcome(elements, run) -> tuple:
         result = run()
     except CapacityError as exc:
         # elements after the one that raised never ran; an empty input cannot raise
-        return "CapacityError", str(exc), max(i for i, e in enumerate(elements) if e._programs)
+        compiled = [i for i, e in enumerate(elements) if e in TABLES or e._batches]
+        return "CapacityError", str(exc), max(compiled)
     if isinstance(result, FockKet):
         return "ket", hexed(result)
     projected, probability = result

@@ -205,6 +205,45 @@ def test_a_batch_reuses_its_output_tuples():
         assert all(occ is powers for (occ, _), powers in zip(result.items(), outputs))
 
 
+@settings(deadline=None, max_examples=100)
+@given(case=transform_and_kets())
+def test_a_batch_ranks_each_output_once_in_first_appearance_order(case):
+    make, ket, _ = case
+    transform = make()
+    transform.apply(ket)
+    signature = tuple(occ for occ, _ in ket.items())
+    batch = transform._batches[signature]
+    per_term = [list(_expanded(transform, occ, 1.0, {})) for occ in signature]
+    assert batch.outputs == tuple(dict.fromkeys(powers for outputs in per_term for powers in outputs))
+    # the tail reads each term's outputs once each, wherever its last step left them
+    rows, dst = batch._tail
+    assert len(rows) == len(set(rows.tolist())) == sum(map(len, per_term))
+    assert dst[::2].tolist() == [2 * batch.outputs.index(powers) for outputs in per_term for powers in outputs]
+    # a term's steps: one level per moved mode it occupies, then one round of scales if any output has one
+    steps = [
+        sum(1 for i in transform._moved if occ[i]) + any(p > 1 for powers in outputs for p in powers)
+        for occ, outputs in zip(signature, per_term)
+    ]
+    assert len(batch._rounds) == max(steps)
+    for src, index, slots, size in batch._rounds:
+        assert len(src) == len(index)
+        # a round that writes each slot once skips the sum
+        assert (slots is None) == (len(index) == size)
+
+
+def test_a_round_sums_only_where_a_slot_is_written_twice():
+    transform = bs_5050(TRIPLE, "a", "b")
+    transform.apply(FockKet(TRIPLE, {(2, 0, 0, 0, 0, 0): 1.0}))
+    transform.apply(FockKet(TRIPLE, {(1, 0, 1, 0, 0, 0): 1.0}))
+    # (a + b)^2 / 2 writes three slots once each, then scales a^2 and b^2
+    (_, _, level, _), (_, _, scale, _) = transform._batches[((2, 0, 0, 0, 0, 0),)]._rounds
+    assert level is None and scale is None
+    # a (a + b) writes two slots once each; times (b - a) it writes a.b twice
+    (_, _, first, _), (_, _, last, size), _ = transform._batches[((1, 0, 1, 0, 0, 0),)]._rounds
+    assert first is None
+    assert last is not None and size == 3
+
+
 @pytest.mark.parametrize("amp", [1.0, complex(0.6, -0.0), complex(-0.0, -0.8), complex(-0.6, 0.8)])
 def test_an_exact_cancellation_keeps_its_bits_cold_and_warm(amp):
     # (a + b)(b - a) / 2: the a.b coefficients cancel to an exact zero

@@ -77,7 +77,6 @@ from .schemes import (
     ghz_circuit,
     ghz_state,
     interval_probabilities,
-    pattern_ket,
     pattern_occupation,
     psi_theta_reference,
     sample_ghz_circuit,

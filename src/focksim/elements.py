@@ -89,7 +89,7 @@ class ModeTransform:
         if matrix.shape != (n, n):
             raise ValueError(f"matrix shape {matrix.shape} does not match register size {n}")
         deviation = np.max(np.abs(matrix @ matrix.conj().T - np.eye(n)))
-        if deviation > UNITARITY_TOLERANCE:
+        if not deviation <= UNITARITY_TOLERANCE:  # NaN fails too
             raise ValueError(f"matrix is not unitary (deviation {deviation:.3e})")
         self._register = register
         self._matrix = matrix.copy()

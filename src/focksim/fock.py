@@ -78,13 +78,6 @@ class ModeRegister:
     def labels(self) -> tuple[str, ...]:
         return tuple(s + p for s, p in self._modes)
 
-    @property
-    def spatials(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for s, _ in self._modes:
-            seen.setdefault(s)
-        return tuple(seen)
-
     def index(self, spatial: str, pol: str | None = None) -> int:
         """Position of a mode, addressed as ``index("aH")`` or ``index("a", "H")``."""
         label = spatial if pol is None else spatial + pol
@@ -277,9 +270,6 @@ class FockKet:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     @property
     def norm_squared(self) -> float:
         # the ket is immutable, so the sum is taken once (threads racing to
@@ -299,13 +289,6 @@ class FockKet:
     def photon_numbers(self) -> set[int]:
         """Distinct total photon numbers present in the superposition."""
         return {sum(occ) for occ in self._terms}
-
-    def photon_expectation(self) -> float:
-        """Mean total photon number (state need not be normalized)."""
-        n2 = self.norm_squared
-        if n2 == 0.0:
-            return 0.0
-        return sum(sum(occ) * abs(a) ** 2 for occ, a in self._terms.items()) / n2
 
     def __repr__(self) -> str:
         return f"FockKet({len(self._terms)} terms on {self._register!r})"

@@ -1,8 +1,9 @@
 """Weak cross-Kerr coupling to a coherent probe and X-homodyne readout.
 
 Each signal branch carries an integer probe-phase index in units of half
-the base Kerr phase, so branches that acquire equal probe phase merge
-exactly (integer arithmetic, no floating phase drift).  The probe quadrature
+the base Kerr phase, so every branch's probe phase is exact (integer
+arithmetic, no floating phase drift).  Tagging never merges branches: only
+conditioning sums the branches of equal occupation.  The probe quadrature
 convention puts the peak of ``|<x|beta>|^2`` at ``2 Re(beta)`` with unit
 variance, and conditioning on an outcome ``x`` multiplies the branch at
 probe phase ``phi`` by::
@@ -26,7 +27,8 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .fock import NORM_TOLERANCE, PRUNE_THRESHOLD, FockKet, ModeRegister, _check_occupation, _pruned, _significant
+from .fock import (NORM_TOLERANCE, PRUNE_THRESHOLD, FockKet, ModeRegister, _check_occupation, _norm_squared, _pruned,
+                   _significant)
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -84,23 +86,24 @@ class ProbeTaggedState:
             (_check_occupation(register, occ), int(idx)): amp
             for (occ, idx), amp in _significant(terms).items()
         }
+        _check_probe(alpha, theta)
         self._init(register, checked, alpha, theta)
 
     @classmethod
     def _from_valid(
         cls, register: ModeRegister, terms: _TaggedTerms, alpha: float, theta: float
     ) -> "ProbeTaggedState":
-        """Tagged state from keys and ``complex`` amplitudes valid by construction.
+        """Tagged state from keys, ``complex`` amplitudes and a probe valid by construction.
 
-        As :meth:`FockKet._from_valid`: the terms are only pruned, and only
-        the probe is checked.
+        As :meth:`FockKet._from_valid`: nothing is checked, and the terms
+        are only pruned.  The probe is checked where it enters, by the
+        public constructor and :func:`attach_probe`.
         """
         state = cls.__new__(cls)
         state._init(register, _pruned(terms), alpha, theta)
         return state
 
     def _init(self, register: ModeRegister, terms: dict, alpha: float, theta: float) -> None:
-        _check_probe(alpha, theta)
         self._register = register
         self._terms = terms
         self._alpha = float(alpha)
@@ -131,7 +134,7 @@ class ProbeTaggedState:
             centers = {idx: peak_center(self._alpha, self.phase_of(idx)) for idx in weights}
             rates = {idx: self._alpha * math.sin(self.phase_of(idx)) for idx in weights}
             groups = tuple((idx, weights[idx], centers[idx]) for idx in weights)
-            norm_squared = sum(abs(a) ** 2 for a in self._terms.values())
+            norm_squared = _norm_squared(self._terms)
             shared = Counter(occ for occ, _ in self._terms)
             conditioning = sorted(
                 ((i, occ, amp, centers[idx], rates[idx], abs(amp) if shared[occ] == 1 else math.inf)
@@ -214,6 +217,7 @@ def _check_probe(alpha: float, theta: float) -> None:
 
 def attach_probe(ket: FockKet, alpha: float, theta: float) -> ProbeTaggedState:
     """Pair a signal ket with a fresh coherent probe (all branches at phase 0)."""
+    _check_probe(alpha, theta)
     return ProbeTaggedState._from_valid(
         ket.register,
         {(occ, 0): amp for occ, amp in ket.items()},
@@ -231,11 +235,8 @@ def apply_cross_kerr(state: ProbeTaggedState, weights: Iterable[int]) -> ProbeTa
     weights = tuple(int(w) for w in weights)
     if len(weights) != len(state.register):
         raise ValueError("weights length does not match register size")
-    out: dict[tuple[tuple[int, ...], int], complex] = {}
-    for (occ, idx), amp in state.items():
-        shifted = idx + sum(w * n for w, n in zip(weights, occ))
-        key = (occ, shifted)
-        out[key] = out.get(key, 0.0) + amp
+    # each key keeps its occupation, so no two terms meet; ``0.0 +`` still clears a negative zero's sign
+    out = {(occ, idx + sum(w * n for w, n in zip(weights, occ))): 0.0 + amp for (occ, idx), amp in state.items()}
     return ProbeTaggedState._from_valid(state.register, out, state.alpha, state.theta)
 
 
@@ -331,10 +332,10 @@ def discrimination_error(alpha: float, theta: float) -> float:
     Equals the Gaussian tail mass past the midpoint threshold
     ``x0 = alpha (1 + cos(theta))``.
     """
-    if alpha <= 0:
-        raise ValueError("probe amplitude must be positive")
-    if theta <= 0:
-        raise ValueError("Kerr phase must be positive")
+    if not alpha > 0:  # NaN fails too
+        raise ValueError(f"probe amplitude alpha must be positive, got {alpha}")
+    if not theta > 0:
+        raise ValueError(f"Kerr phase theta must be positive, got {theta}")
     return 0.5 * math.erfc(2.0 * alpha * (1.0 - math.cos(theta)) / (2.0 * math.sqrt(2.0)))
 
 

@@ -70,8 +70,8 @@ class SqueezedExpansion:
 
 
 def squeezed_weights(tau: float, n_max: int) -> SqueezedExpansion:
-    if tau < 0:
-        raise ValueError("interaction parameter must be non-negative")
+    if not tau >= 0:  # NaN fails too
+        raise ValueError(f"interaction parameter tau must be non-negative, got {tau}")
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError("n_max must be non-negative")

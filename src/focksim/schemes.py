@@ -68,10 +68,6 @@ def pattern_occupation(pattern: str) -> tuple[int, ...]:
     return tuple(occ)
 
 
-def pattern_ket(pattern: str) -> FockKet:
-    return FockKet.basis(scheme_register, pattern_occupation(pattern))
-
-
 def ghz_state() -> FockKet:
     """(|HHHHHH> + |VVVVVV>) / sqrt(2) on the six scheme modes."""
     inv = 1.0 / math.sqrt(2.0)
@@ -182,13 +178,13 @@ def spin_flip(state: FockKet, spatials) -> FockKet:
     pairs = [
         (state.register.index(s, "H"), state.register.index(s, "V")) for s in set(spatials)
     ]
+    # swaps are one-to-one, so no two terms meet; ``0.0 +`` still clears a negative zero's sign
     out: dict[tuple[int, ...], complex] = {}
     for occ, amp in state.items():
         flipped = list(occ)
         for h, v in pairs:
             flipped[h], flipped[v] = flipped[v], flipped[h]
-        key = tuple(flipped)
-        out[key] = out.get(key, 0.0) + amp
+        out[tuple(flipped)] = 0.0 + amp
     return FockKet._from_valid(state.register, out)
 
 
@@ -218,6 +214,8 @@ class GhzDecodeTable:
         for interval in self.intervals:
             if interval.x_lo <= x < interval.x_hi:
                 return interval
+        if math.isnan(x):
+            raise ValueError("quadrature x must not be NaN")
         return self.intervals[-1]
 
     def peak_center(self, interval: DecodeInterval) -> float:
@@ -252,8 +250,10 @@ def decode_table(alpha: float, theta: float) -> GhzDecodeTable:
     their midpoint ``alpha (cos a theta + cos b theta)``.  Rejected when the
     peak ordering degenerates (theta too large).
     """
-    if alpha <= 0 or theta <= 0:
-        raise ValueError("alpha and theta must be positive")
+    if not alpha > 0:  # NaN fails too
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not theta > 0:
+        raise ValueError(f"theta must be positive, got {theta}")
     patterns = _branch_patterns()
     branches = sorted(patterns, reverse=True)
     if branches[0] * theta > math.pi:
@@ -411,10 +411,7 @@ def ghz_circuit(
     if x is None and rng is None:
         raise ValueError("either a quadrature value or an rng is required")
     readout = GhzReadout(state, alpha, theta)
-    if x is None:
-        corrected, index, _ = readout.sample(make_rng(rng))
-        return corrected, index
-    return readout.condition(x)
+    return readout.sample(rng)[:2] if x is None else readout.condition(x)
 
 
 def sample_ghz_circuit(

@@ -63,7 +63,7 @@ class TestAttachProbe:
         with pytest.raises(ValueError, match=message):
             ProbeTaggedState(TWO, {((1, 0), 0): 1.0}, alpha, theta)
         with pytest.raises(ValueError, match=message):
-            ProbeTaggedState._from_valid(TWO, {((1, 0), 0): 1.0}, alpha, theta)
+            attach_probe(FockKet.vacuum(TWO), alpha, theta)
 
     @pytest.mark.parametrize(
         "alpha, theta, name",

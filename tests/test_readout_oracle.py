@@ -8,8 +8,8 @@ Both old paths are written out here, and every float they give is compared
 with ``float.hex``, so a sign of zero or a last bit that moves fails.
 """
 
-import bisect
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,7 +26,7 @@ from focksim.detector import (
     twin_beam_state,
 )
 from focksim.fock import PRUNE_THRESHOLD
-from focksim.kerr import homodyne_pdf, midpoint_threshold, repair_phase
+from focksim.kerr import homodyne_pdf, midpoint_threshold, peak_center, repair_phase
 
 ARM_B = twin_beam_register.spatial_indices("b")
 
@@ -42,20 +42,24 @@ def normalized(terms: dict) -> dict:
 
 
 def old_conditioned(state, x: float) -> dict | None:
-    """``homodyne_condition`` as it was: its terms, or ``None`` for no state."""
-    view = state._view()
-    lo = bisect.bisect_left(view.centers, x - 60.0)
-    hi = bisect.bisect_right(view.centers, x + 60.0)
-    terms = sorted(view.conditioning[lo:hi])
-    i = bisect.bisect(view.centers, x)
-    below = x - view.centers[i - 1] if i else math.inf
-    above = view.centers[i] - x if i < len(view.centers) else math.inf
-    nearest = min(below, above)
+    """``homodyne_condition`` as it was: its terms, or ``None`` for no state.
+
+    Each branch's peak centre, rate and bound come from the branch itself,
+    not from the state's readout view.  The view's window of 60 about ``x``
+    is left out: every weight beyond it is 0.0, which the loop skips.
+    """
+    shared = Counter(occ for (occ, _), _ in state.items())
+    terms = []
+    for (occ, idx), amp in state.items():
+        phase = state.phase_of(idx)
+        bound = abs(amp) if shared[occ] == 1 else math.inf
+        terms.append((occ, amp, peak_center(state.alpha, phase), state.alpha * math.sin(phase), bound))
+    nearest = min((abs(x - center) for _, _, center, _, _ in terms), default=math.inf)
     if nearest > math.sqrt(80.0) and (weight := math.exp(-0.25 * nearest * nearest)) > 0.0:
         scale = math.ldexp(1.0, min(-math.frexp(weight)[1], 1023))
-        terms = [(i, occ, amp * scale, center, rate, bound * scale) for i, occ, amp, center, rate, bound in terms]
+        terms = [(occ, amp * scale, center, rate, bound * scale) for occ, amp, center, rate, bound in terms]
     out = {}
-    for _, occ, amp, center, rate, bound in terms:
+    for occ, amp, center, rate, bound in terms:
         offset = x - center
         weight = math.exp(-0.25 * offset * offset)
         if weight == 0.0 or weight * bound < 0.5 * PRUNE_THRESHOLD:

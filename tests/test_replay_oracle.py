@@ -250,7 +250,7 @@ def kets(draw):
 
 # counts by mode label or by spatial name; 18 is more photons than any term holds
 patterns = st.dictionaries(
-    st.sampled_from(TRIPLE.labels + TRIPLE.spatials),
+    st.sampled_from(TRIPLE.labels + tuple(dict.fromkeys(s for s, _ in TRIPLE.modes))),
     st.one_of(st.integers(0, 3), st.just(18)),
     max_size=3,
 )

@@ -37,7 +37,6 @@ from .elements import (
     polarization_rotation,
 )
 from .fock import (
-    BilinearForm,
     CapacityError,
     FockKet,
     ModeRegister,

@@ -186,6 +186,14 @@ def _grid(typed: dict) -> int:
     return typed["grid"]
 
 
+def _points(lo: float, hi: float, grid: int) -> list[float]:
+    """``np.linspace(lo, hi, grid)`` as floats; a capacity error if the points do not fit in memory."""
+    try:
+        return np.linspace(lo, hi, grid).tolist()
+    except MemoryError:
+        raise CapacityError(f"grid={grid} is too long: its points do not fit in memory") from None
+
+
 def _cascade_rows(pair0: CoefficientPair, steps: int, alpha: float, theta: float) -> Iterator[tuple]:
     run = cascade_simulate(pair0, steps, alpha, theta)
     cumulative = 1.0
@@ -208,7 +216,7 @@ def _psi_theta_rows(grid: int) -> Iterator[tuple]:
     ghz_ref = ghz_state()
     w_ref = w_pair_state(False)
     w_ref_flipped = w_pair_state(True)
-    for theta in np.linspace(0.0, math.pi / 2.0, grid).tolist():
+    for theta in _points(0.0, math.pi / 2.0, grid):
         result = build_psi_theta(theta)
         reference = psi_theta_reference(theta)
         yield (
@@ -309,7 +317,7 @@ def _sweep_rows(typed: dict, tagged, targets: dict, lo: float, top: float) -> It
     # each point is homodyne_condition, decide_and_repair and FockKet.fidelity
     # on the terms alone: the same sums in the same order, and no ket built
     alpha, theta = typed["alpha"], typed["theta"]
-    for x in np.linspace(lo, top, typed["grid"]).tolist():
+    for x in _points(lo, top, typed["grid"]):
         branch, repaired = decide_and_repair(_conditioned_terms(tagged, x), x, alpha, theta)
         interval, target = targets[branch]
         fidelity = _fidelity(repaired, target) if repaired and target is not None else 0.0
@@ -486,11 +494,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    path = Path(args.config)
     try:
-        if not path.is_file():
-            raise ConfigError(f"config file {args.config!r} not found")
-        _checked(parse_config_text(path.read_text()))
+        _checked(resolve_config(args.config, []))
     except ConfigError as exc:
         for message in exc.args:
             print(f"error: {message}")
@@ -529,7 +534,7 @@ def _parser() -> argparse.ArgumentParser:
     run_parser.add_argument("overrides", nargs="*", help="key=value overrides")
     run_parser.set_defaults(func=cmd_run)
     validate_parser = sub.add_parser("validate", help="check a config without running it")
-    validate_parser.add_argument("config", help="config file path")
+    validate_parser.add_argument("config", help="config file path or bare experiment name")
     validate_parser.set_defaults(func=cmd_validate)
     list_parser = sub.add_parser("list", help="print experiments and their parameters")
     list_parser.set_defaults(func=cmd_list)

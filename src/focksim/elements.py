@@ -407,6 +407,8 @@ def polarization_rotation(register: ModeRegister, spatial: str, theta: float) ->
     """
     if not (register.has_mode(spatial, "H") and register.has_mode(spatial, "V")):
         raise ValueError(f"spatial mode {spatial!r} needs both H and V modes in the register")
+    if not math.isfinite(theta):
+        raise ValueError(f"rotation angle theta must be finite, got {theta}")
     c, s = math.cos(theta), math.sin(theta)
     modes = (register.index(spatial, "H"), register.index(spatial, "V"))
     return _embedded(register, [(modes, ((c, -s), (s, c)))])

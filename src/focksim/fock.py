@@ -375,32 +375,11 @@ class FockKet:
         return FockKet._from_valid(register, {occ + pad: amp for occ, amp in self._terms.items()})
 
 
-class BilinearForm:
-    """Quadratic form in creation operators: sum of c_ij a_i^dag a_j^dag."""
-
-    __slots__ = ("_coefficients",)
-
-    def __init__(self, coefficients: Mapping[tuple[int, int], complex]):
-        self._coefficients = {
-            (int(i), int(j)): complex(c) for (i, j), c in coefficients.items()
-        }
-
-    @property
-    def coefficients(self) -> dict[tuple[int, int], complex]:
-        return dict(self._coefficients)
-
-    def validate_for(self, register: ModeRegister) -> None:
-        n = len(register)
-        for i, j in self._coefficients:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"mode pair ({i}, {j}) out of range for register size {n}")
-
-
 MAX_BILINEAR_POWER = 8
 
 
-def expand_bilinear_power(form: BilinearForm, n: int, register: ModeRegister) -> FockKet:
-    """Expand (bilinear form)^n applied to the vacuum, unnormalized.
+def expand_bilinear_power(form: Mapping[tuple[int, int], complex], n: int, register: ModeRegister) -> FockKet:
+    """Expand (sum of form[i, j] a_i^dag a_j^dag)^n applied to the vacuum, unnormalized.
 
     Repeated polynomial multiplication in the creation-operator monomial
     basis, then conversion of each monomial a^dag^p |0> to sqrt(p!) |p>.
@@ -410,13 +389,16 @@ def expand_bilinear_power(form: BilinearForm, n: int, register: ModeRegister) ->
         raise ValueError("power must be non-negative")
     if n > MAX_BILINEAR_POWER:
         raise CapacityError(f"power n={n} exceeds max photon-pair order {MAX_BILINEAR_POWER}")
-    form.validate_for(register)
     size = len(register)
+    coefficients = {(int(i), int(j)): complex(c) for (i, j), c in form.items()}
+    for i, j in coefficients:
+        if not (0 <= i < size and 0 <= j < size):
+            raise ValueError(f"mode pair ({i}, {j}) out of range for register size {size}")
     monomials: dict[tuple[int, ...], complex] = {(0,) * size: 1.0}
     for _ in range(n):
         grown: dict[tuple[int, ...], complex] = {}
         for powers, coeff in monomials.items():
-            for (i, j), c in form._coefficients.items():
+            for (i, j), c in coefficients.items():
                 lifted = list(powers)
                 lifted[i] += 1
                 lifted[j] += 1

@@ -87,7 +87,8 @@ class ProbeTaggedState:
             for (occ, idx), amp in _significant(terms).items()
         }
         _check_probe(alpha, theta)
-        self._init(register, checked, alpha, theta)
+        self._register, self._terms, self._alpha, self._theta = register, checked, float(alpha), float(theta)
+        self._view_cache: _ReadoutView | None = None
 
     @classmethod
     def _from_valid(
@@ -100,15 +101,9 @@ class ProbeTaggedState:
         public constructor and :func:`attach_probe`.
         """
         state = cls.__new__(cls)
-        state._init(register, _pruned(terms), alpha, theta)
+        state._register, state._terms, state._alpha, state._theta = register, _pruned(terms), float(alpha), float(theta)
+        state._view_cache = None
         return state
-
-    def _init(self, register: ModeRegister, terms: dict, alpha: float, theta: float) -> None:
-        self._register = register
-        self._terms = terms
-        self._alpha = float(alpha)
-        self._theta = float(theta)
-        self._view_cache: _ReadoutView | None = None
 
     @property
     def register(self) -> ModeRegister:

@@ -12,31 +12,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import BilinearForm, CapacityError, FockKet, ModeRegister, expand_bilinear_power
+from .fock import CapacityError, FockKet, ModeRegister, expand_bilinear_power
 
 MAX_PAIR_ORDER = 5
 
 
-def singlet_form(
-    register: ModeRegister, spatial_a: str = "a", spatial_b: str = "b"
-) -> BilinearForm:
-    """The antisymmetric pair-creation form aH^dag bV^dag - aV^dag bH^dag."""
-    return BilinearForm(
-        {
-            (register.index(spatial_a, "H"), register.index(spatial_b, "V")): 1.0,
-            (register.index(spatial_a, "V"), register.index(spatial_b, "H")): -1.0,
-        }
-    )
+def singlet_form(register: ModeRegister) -> dict[tuple[int, int], float]:
+    """The antisymmetric pair-creation form aH^dag bV^dag - aV^dag bH^dag, as mode-index pairs."""
+    return {
+        (register.index("a", "H"), register.index("b", "V")): 1.0,
+        (register.index("a", "V"), register.index("b", "H")): -1.0,
+    }
 
 
-def psi_n(n: int, spatial_a: str = "a", spatial_b: str = "b") -> FockKet:
+def psi_n(n: int) -> FockKet:
     """Normalized 2n-photon state from the n-th power of the singlet form."""
     n = int(n)
     if not 0 <= n <= MAX_PAIR_ORDER:
         raise CapacityError(f"pair order n={n} outside supported range 0..{MAX_PAIR_ORDER}")
-    register = ModeRegister.polarized(spatial_a, spatial_b)
-    raw = expand_bilinear_power(singlet_form(register, spatial_a, spatial_b), n, register)
-    return raw.normalized()
+    register = ModeRegister.polarized("a", "b")
+    return expand_bilinear_power(singlet_form(register), n, register).normalized()
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ import pytest
 from scipy import integrate
 
 from focksim import (
-    BilinearForm,
     CoefficientPair,
     FockKet,
     ModeRegister,
@@ -263,12 +262,12 @@ def test_criterion_9_expansion_matches_enumeration():
         register = ModeRegister.polarized("a", "b")
         forms = (
             singlet_form(register),
-            BilinearForm({(0, 1): 1.0, (2, 3): -1.0}),
-            BilinearForm({(0, 0): 1.0, (1, 2): 2.0j, (2, 3): -3.0}),
-            BilinearForm({(0, 3): 1.0 + 2.0j, (1, 2): -1.0 - 1.0j}),
+            {(0, 1): 1.0, (2, 3): -1.0},
+            {(0, 0): 1.0, (1, 2): 2.0j, (2, 3): -3.0},
+            {(0, 3): 1.0 + 2.0j, (1, 2): -1.0 - 1.0j},
         )
         for form in forms:
-            items = list(form.coefficients.items())
+            items = list(form.items())
             for n in range(5):
                 expected: dict[tuple[int, ...], complex] = {}
                 for combo in product(items, repeat=n):

@@ -4,6 +4,9 @@ import io
 import math
 import os
 import re
+import resource
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +20,7 @@ from focksim import cli, detector, schemes
 from focksim.cli import main
 
 START_PAIR = ["m0=0", "n0=0.70710678"]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*args: str) -> int:
@@ -212,6 +216,13 @@ class TestValidate:
     def test_missing_file_reported(self, tmp_path, capsys):
         assert run_cli("validate", str(tmp_path / "absent.cfg")) == 2
         assert "not found" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, code, named", [("psi-theta", 0, "ok"), ("cascade", 2, "'m0'")])
+    def test_bare_name_agrees_with_run(self, out_dir, capsys, name, code, named):
+        # validate loads a bare experiment name as run does
+        assert run_cli("validate", name) == code
+        assert named in capsys.readouterr().out
+        assert run_cli("run", name) == code
 
 
 class TestList:
@@ -648,6 +659,26 @@ def test_grid_numpy_cannot_size_is_rejected(out_dir, capsys, tmp_path_factory, a
     # each is refused before any array is made: numpy would refuse an array of
     # 2**60 or more doubles, whose size in bytes its index type cannot hold
     assert_rejected(args, "parameter 'grid' must be at most 1152921504606846975", out_dir, capsys, tmp_path_factory)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("psi-theta", "grid=1000000000"), ("homodyne-sweep", "m0=1", "n0=0", "grid=1000000000")],
+    ids=["psi-theta", "homodyne-sweep"],
+)
+def test_grid_too_long_for_memory_is_a_capacity_error(tmp_path, args):
+    # a billion doubles is 7.45 GiB: under a 1 GiB address-space limit numpy's
+    # allocation is refused at once, and no memory is touched
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC), FOCKSIM_OUT_DIR=str(tmp_path))
+    done = subprocess.run([sys.executable, "-m", "focksim.cli", "run", *args], env=env, capture_output=True,
+                          text=True, timeout=120, preexec_fn=limit_address_space)
+    assert done.returncode == 3, done.stderr
+    assert " grid=1000000000 " in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not any(tmp_path.iterdir())
 
 
 class Drawn(Exception):

@@ -10,6 +10,7 @@ from focksim import (
     CapacityError,
     CoefficientPair,
     FockKet,
+    ModeRegister,
     ModeTransform,
     a_matrix_power,
     apply_cross_kerr,
@@ -143,7 +144,8 @@ class TestDetect:
 
     def test_wrong_register_rejected(self):
         with pytest.raises(ValueError, match="register"):
-            detect(psi_n(3, "c", "d"), ALPHA, THETA, force="symmetric")
+            detect(FockKet(ModeRegister.polarized("c", "d"), dict(psi_n(3).items())), ALPHA, THETA,
+                   force="symmetric")
 
 
 class TestPhaseCorrection:

@@ -18,7 +18,7 @@ TWIN = ModeRegister.polarized("a", "b")
 
 def brute_force_singlet_power(n: int) -> dict:
     """Sequence-enumeration oracle for the antisymmetric pair power."""
-    items = list(singlet_form(TWIN).coefficients.items())
+    items = list(singlet_form(TWIN).items())
     amplitudes: dict[tuple[int, ...], complex] = {}
     for combo in product(items, repeat=n):
         powers = [0, 0, 0, 0]
@@ -65,10 +65,6 @@ class TestPairStates:
         state = psi_n(n)
         out = bs_5050(TWIN, "a", "b").apply(state)
         assert out.fidelity(state) > 1.0 - 1e-12
-
-    def test_custom_spatial_labels(self):
-        state = psi_n(1, "c", "d")
-        assert state.register.labels == ("cH", "cV", "dH", "dV")
 
 
 class TestSqueezedWeights:

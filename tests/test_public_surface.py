@@ -45,7 +45,8 @@ def test_the_package_version_has_one_owner():
 NAN = math.nan
 NAN_INPUTS = {
     "unitary-matrix": (lambda: ModeTransform(ModeRegister.polarized("a"), [[1.0, 0.0], [0.0, NAN]]), "not unitary"),
-    "psi-theta-angle": (lambda: build_psi_theta(NAN), "not unitary"),
+    "psi-theta-angle": (lambda: build_psi_theta(NAN), "theta"),
+    "psi-theta-infinite-angle": (lambda: build_psi_theta(math.inf), "theta"),
     "decode-alpha": (lambda: decode_table(NAN, 0.1), "alpha"),
     "decode-theta": (lambda: decode_table(1000.0, NAN), "theta"),
     "squeezing-tau": (lambda: squeezed_weights(NAN, 3), "tau"),

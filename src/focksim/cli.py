@@ -194,8 +194,8 @@ def _points(lo: float, hi: float, grid: int) -> list[float]:
         raise CapacityError(f"grid={grid} is too long: its points do not fit in memory") from None
 
 
-def _cascade_rows(pair0: CoefficientPair, steps: int, alpha: float, theta: float) -> Iterator[tuple]:
-    run = cascade_simulate(pair0, steps, alpha, theta)
+def _cascade_rows(pair0: CoefficientPair, steps: int) -> Iterator[tuple]:
+    run = cascade_simulate(pair0, steps)
     cumulative = 1.0
     for k, probability in enumerate(run.step_probabilities, start=1):
         closed = cascade_closed_form(pair0, k)
@@ -209,7 +209,7 @@ def run_cascade(typed: dict) -> Iterator[tuple]:
     steps = typed.get("k", 1)
     pair0 = _normalized_pair(typed)
     a_matrix_power(steps)  # a CapacityError past MAX_CASCADE_STEPS
-    return _cascade_rows(pair0, steps, typed["alpha"], typed["theta"])
+    return _cascade_rows(pair0, steps)
 
 
 def _psi_theta_rows(grid: int) -> Iterator[tuple]:
@@ -293,7 +293,11 @@ def run_ghz_circuit(typed: dict) -> Iterator[tuple]:
 
 
 def _squeezed_rows(tau: float, n_max: int) -> Iterator[tuple]:
-    for n, w in enumerate(squeezed_weights(tau, n_max).weights):
+    try:
+        weights = squeezed_weights(tau, n_max).weights
+    except MemoryError:
+        raise CapacityError(f"n_max={n_max} is too large: its weights do not fit in memory") from None
+    for n, w in enumerate(weights):
         if w != 0.0:  # rows with exactly zero amplitude carry no information (tau = 0)
             yield (n, w, w * w)
 
@@ -320,7 +324,7 @@ def _sweep_rows(typed: dict, tagged, targets: dict, lo: float, top: float) -> It
     for x in _points(lo, top, typed["grid"]):
         branch, repaired = decide_and_repair(_conditioned_terms(tagged, x), x, alpha, theta)
         interval, target = targets[branch]
-        fidelity = _fidelity(repaired, target) if repaired and target is not None else 0.0
+        fidelity = _fidelity(repaired, target) if target is not None else 0.0
         yield (x, homodyne_pdf(tagged, x), interval, fidelity)
 
 
@@ -442,36 +446,32 @@ def _experiment_for(values: dict[str, str]) -> Experiment:
     return EXPERIMENTS[name]
 
 
-def _output_path(experiment: Experiment, typed: dict) -> Path:
-    configured = typed.get("output") or f"{experiment.name}.csv"
-    path = Path(configured)
-    out_dir = os.environ.get("FOCKSIM_OUT_DIR")
-    if out_dir and not path.is_absolute():
-        path = Path(out_dir) / path
-    return path
-
-
 def _write_outputs(experiment: Experiment, typed: dict, rows: list[tuple]) -> Path:
     columns = experiment.columns
     if experiment.name == "pdc-weights":
         columns = "k,a3,a21,a111" if "k" in typed else "n,amplitude,probability"
-    path = _output_path(experiment, typed)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    recorded = {"output": f"{experiment.name}.csv", **typed}  # the .meta records the default name too
+    path = Path(recorded["output"])
+    out_dir = os.environ.get("FOCKSIM_OUT_DIR")
+    if out_dir and not path.is_absolute():
+        path = Path(out_dir) / path
     lines = [columns]
     # an int cell prints as an int; any other cell (a float or numpy float) as format_float prints it
     lines += [",".join([str(c) if type(c) is int else format(c, ".17g") for c in row]) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
     meta_lines = [
         f"artifact_version = {__version__}",
         f"experiment = {experiment.name}",
     ]
-    recorded = dict(typed)
-    recorded.setdefault("output", f"{experiment.name}.csv")
     for key in sorted(recorded):
         value = recorded[key]
         rendered = format_float(value) if isinstance(value, float) else str(value)
         meta_lines.append(f"{key} = {rendered}")
-    Path(str(path) + ".meta").write_text("\n".join(meta_lines) + "\n")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("\n".join(lines) + "\n")
+        Path(str(path) + ".meta").write_text("\n".join(meta_lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"parameter 'output' cannot be written: {exc}") from None
     return path
 
 

@@ -42,7 +42,6 @@ from .kerr import (
     apply_cross_kerr,
     apply_probe_phase,
     attach_probe,
-    make_rng,
     midpoint_threshold,
     repair_phase,
 )
@@ -104,12 +103,10 @@ def twin_beam_state(pair: CoefficientPair) -> FockKet:
 def _phased(terms: Iterable[tuple[tuple[int, ...], complex]], phi: float, indices: tuple[int, ...]) -> dict:
     """Each ``(occupation, amplitude)`` turned by exp(i phi/2) per photon in the modes ``indices``, then pruned."""
     out = {}
-    turns: dict[int, complex] = {}  # the turn of each photon count, computed once
     for occ, amp in terms:
         count = sum(map(occ.__getitem__, indices))
-        if (turn := turns.get(count)) is None:
-            turn = turns[count] = complex(math.cos(0.5 * phi * count), math.sin(0.5 * phi * count))
-        if not abs(amp := amp * turn) < PRUNE_THRESHOLD:
+        amp = amp * complex(math.cos(0.5 * phi * count), math.sin(0.5 * phi * count))
+        if not abs(amp) < PRUNE_THRESHOLD:
             out[occ] = amp
     return out
 
@@ -119,22 +116,18 @@ def apply_phase_correction(state: FockKet, phi: float, spatial: str) -> FockKet:
     return FockKet._from_valid(state.register, _phased(state.items(), phi, state.register.spatial_indices(spatial)))
 
 
-def decide_and_repair(
-    conditional: Mapping | FockKet | None, x: float, alpha: float, theta: float
-) -> tuple[str, Mapping | FockKet | None]:
+def decide_and_repair(conditional: Mapping, x: float, alpha: float, theta: float) -> tuple[str, Mapping]:
     """Branch read from outcome ``x``, and the conditional terms repaired for it.
 
-    ``conditional`` holds terms on the twin-beam register: a dict or a ket,
-    or ``None`` (or empty) for none.  Only ``x`` above the midpoint threshold
-    reads "symmetric", and the conditional comes back as it is.  An
-    asymmetric outcome's phase, taken modulo 2 pi, is undone on arm ``b``:
-    the terms come back as a dict, pruned as
+    ``conditional`` maps occupations on the twin-beam register to amplitudes
+    and is empty when conditioning left no term.  Only ``x`` above the
+    midpoint threshold reads "symmetric", and the terms come back as they
+    are.  An asymmetric outcome's phase, taken modulo 2 pi, is undone on arm
+    ``b``: the terms come back as a dict, pruned as
     :func:`apply_phase_correction` prunes its ket.
     """
     if x > midpoint_threshold(alpha, theta):
         return "symmetric", conditional
-    if not conditional:
-        return "asymmetric", conditional
     phi = repair_phase(alpha, theta, x) % (2.0 * math.pi)
     return "asymmetric", _phased(conditional.items(), phi, _ARM_B)
 
@@ -214,7 +207,7 @@ def detect(
 
     if rng is None:
         raise ValueError("sampled detection needs an rng or seed")
-    x, _, terms = _draw_homodyne(tagged, make_rng(rng))
+    x, _, terms = _draw_homodyne(tagged, rng)
     branch, repaired = decide_and_repair(terms, x, alpha, theta)
     probability = p_symmetric if branch == "symmetric" else 1.0 - p_symmetric
     return DetectorOutcome(branch, FockKet._from_valid(tagged.register, repaired), probability, x)
@@ -289,21 +282,16 @@ class CascadeRun:
     cumulative_probability: float
 
 
-def cascade_simulate(
-    pair0: CoefficientPair,
-    k: int,
-    alpha: float,
-    theta: float,
-) -> CascadeRun:
+def cascade_simulate(pair0: CoefficientPair, k: int) -> CascadeRun:
     """Push a twin-beam state through ``k`` detectors, keeping symmetric outcomes.
 
-    Each step is ``detect(state, alpha, theta, force="symmetric")``.  The
-    state is a six-photon twin-beam ket by construction and the probe is
-    checked once, here, so the steps check nothing.
+    Each step is ``detect(state, alpha, theta, force="symmetric")``, whose
+    state and probability are the same for every valid probe, so the
+    simulation takes none.  The state is a six-photon twin-beam ket by
+    construction, so the steps check nothing.
     """
     k = _cascade_depth(k)
     state = twin_beam_state(pair0.normalized())
-    _check_probe(alpha, theta)
     probabilities: list[float] = []
     cumulative = 1.0
     for _ in range(k):

@@ -387,14 +387,12 @@ class GhzReadout:
 
 
 def _repaired(terms: dict, relabel: dict, phi: float):
-    """Each term relabelled and, for ``phi != 0``, turned by ``-2 phi`` per photon in ``c1 H``,
+    """Each term relabelled and turned by ``-2 phi`` per photon in ``c1 H``,
     which cancels the relative phase of the surviving pair (uniform after the flips)."""
     for occ, amp in terms.items():
         target = relabel[occ]
-        if phi:
-            angle = 2.0 * phi * target[_C1_H]
-            amp = amp * complex(math.cos(angle), -math.sin(angle))
-        yield target, amp
+        angle = 2.0 * phi * target[_C1_H]
+        yield target, amp * complex(math.cos(angle), -math.sin(angle))
 
 
 def ghz_circuit(

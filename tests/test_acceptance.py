@@ -93,7 +93,7 @@ def test_criterion_1_balanced_splitter_coefficients():
 def test_criterion_2_cascade_ratio_sequence():
     with criterion(2, "cascade ratios from (0, 1/sqrt2), closed form vs simulation"):
         pair0 = CoefficientPair(0.0, 1.0 / math.sqrt(2.0))
-        run = cascade_simulate(pair0, 10, ALPHA, THETA)
+        run = cascade_simulate(pair0, 10)
         state = twin_beam_state(pair0)
         for k in range(1, 11):
             step = cascade_closed_form(pair0, k)

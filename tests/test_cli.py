@@ -681,6 +681,34 @@ def test_grid_too_long_for_memory_is_a_capacity_error(tmp_path, args):
     assert not any(tmp_path.iterdir())
 
 
+def test_n_max_too_large_for_memory_is_a_capacity_error(tmp_path):
+    # the weight tuple grows one float per order until the 400 MB address-space
+    # limit refuses it, within a few seconds; it ended in a MemoryError traceback.
+    # One BLAS thread, so the limit leaves numpy's import room on any core count
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (400_000 * 1024, 400_000 * 1024))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC), FOCKSIM_OUT_DIR=str(tmp_path),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-m", "focksim.cli", "run", "pdc-weights", "tau=0.3", "n_max=1000000000"],
+                          env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit_address_space)
+    assert done.returncode == 3, done.stderr
+    assert " n_max=1000000000 " in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("where, reason", [("directory", "Is a directory"), ("under-a-file", "File exists")])
+def test_output_that_cannot_be_written_is_a_config_error(tmp_path, capsys, where, reason):
+    # it ended in an IsADirectoryError or FileExistsError traceback with exit 1
+    (tmp_path / "file").write_text("")
+    output = tmp_path if where == "directory" else tmp_path / "file" / "x.csv"
+    assert run_cli("run", "psi-theta", "grid=2", f"output={output}") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parameter 'output' cannot be written: ") and reason in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
 class Drawn(Exception):
     pass
 

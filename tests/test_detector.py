@@ -175,14 +175,15 @@ class TestPhaseCorrection:
 
     def test_outcome_at_threshold_reads_asymmetric(self):
         state = twin_beam_state(CoefficientPair(0.6, math.sqrt(0.5 - 0.36)))
+        terms = dict(state.items())
         x0 = midpoint_threshold(ALPHA, THETA)
-        branch, repaired = decide_and_repair(state, x0, ALPHA, THETA)
+        branch, repaired = decide_and_repair(terms, x0, ALPHA, THETA)
         assert branch == "asymmetric"
         expected = apply_phase_correction(state, repair_phase(ALPHA, THETA, x0) % (2.0 * math.pi), "b")
         assert list(repaired.items()) == list(expected.items())
-        branch, kept = decide_and_repair(state, math.nextafter(x0, math.inf), ALPHA, THETA)
-        assert branch == "symmetric" and kept is state
-        assert decide_and_repair(None, x0, ALPHA, THETA) == ("asymmetric", None)
+        branch, kept = decide_and_repair(terms, math.nextafter(x0, math.inf), ALPHA, THETA)
+        assert branch == "symmetric" and kept is terms
+        assert decide_and_repair({}, x0, ALPHA, THETA) == ("asymmetric", {})
 
 
 class TestIterationMatrix:
@@ -270,13 +271,13 @@ class TestCascadeClosedForm:
 
 class TestCascadeSimulate:
     def test_equal_start_probability_one_state_fixed(self):
-        run = cascade_simulate(CoefficientPair(0.5, 0.5), 4, ALPHA, THETA)
+        run = cascade_simulate(CoefficientPair(0.5, 0.5), 4)
         assert run.step_probabilities == pytest.approx((1.0, 1.0, 1.0, 1.0))
         assert run.cumulative_probability == pytest.approx(1.0)
         assert run.state.fidelity(psi_n(3)) == pytest.approx(1.0)
 
     def test_single_step_from_pure_first_family(self):
-        run = cascade_simulate(CoefficientPair(1.0 / math.sqrt(2.0), 0.0), 1, ALPHA, THETA)
+        run = cascade_simulate(CoefficientPair(1.0 / math.sqrt(2.0), 0.0), 1)
         assert run.step_probabilities[0] == pytest.approx(5.0 / 8.0)
         target = twin_beam_state(
             CoefficientPair(1.0 / math.sqrt(20.0), 3.0 / math.sqrt(20.0))
@@ -290,7 +291,7 @@ class TestCascadeSimulate:
             if abs(pair.m + pair.n) < 0.05:
                 continue  # closed form is fine but the state norm gets tiny
             k = int(rng.integers(1, 11))
-            run = cascade_simulate(pair, k, ALPHA, THETA)
+            run = cascade_simulate(pair, k)
             step = cascade_closed_form(pair, k)
             expected = twin_beam_state(step.normalized_pair)
             assert (run.state - expected).norm < 1e-12 or (
@@ -299,7 +300,7 @@ class TestCascadeSimulate:
 
     def test_step_probabilities_track_coefficients(self):
         pair = CoefficientPair(0.0, 1.0 / math.sqrt(2.0))
-        run = cascade_simulate(pair, 5, ALPHA, THETA)
+        run = cascade_simulate(pair, 5)
         current = pair
         for probability in run.step_probabilities:
             assert probability == pytest.approx(
@@ -308,7 +309,7 @@ class TestCascadeSimulate:
             current = cascade_closed_form(current, 1).normalized_pair
 
     def test_ten_steps_approach_target(self):
-        run = cascade_simulate(CoefficientPair(0.0, 1.0 / math.sqrt(2.0)), 10, ALPHA, THETA)
+        run = cascade_simulate(CoefficientPair(0.0, 1.0 / math.sqrt(2.0)), 10)
         fidelity = run.state.fidelity(psi_n(3))
         assert fidelity >= 0.999998
         closed = cascade_closed_form(CoefficientPair(0.0, 1.0 / math.sqrt(2.0)), 10)
@@ -316,23 +317,23 @@ class TestCascadeSimulate:
 
     def test_depth_capacity(self):
         with pytest.raises(CapacityError):
-            cascade_simulate(CoefficientPair(0.5, 0.5), 31, ALPHA, THETA)
+            cascade_simulate(CoefficientPair(0.5, 0.5), 31)
 
     def test_negative_depth_is_rejected_as_by_the_closed_form(self):
         # it returned an empty run with cumulative probability 1.0
         for call in (a_matrix_power, lambda k: cascade_closed_form(CoefficientPair(0.5, 0.5), k),
-                     lambda k: cascade_simulate(CoefficientPair(0.5, 0.5), k, ALPHA, THETA)):
+                     lambda k: cascade_simulate(CoefficientPair(0.5, 0.5), k)):
             with pytest.raises(ValueError, match="k=-1 must be non-negative"):
                 call(-1)
 
-    @pytest.mark.parametrize("k", [0, 1, 3])
     @pytest.mark.parametrize(
         "alpha, theta, name", [(math.nan, THETA, "alpha"), (math.inf, THETA, "alpha"), (ALPHA, math.nan, "theta"),
                                (ALPHA, math.inf, "theta"), (-1.0, THETA, "alpha"), (ALPHA, 0.0, "theta")],
     )
-    def test_probe_is_checked_once_at_entry(self, k, alpha, theta, name):
+    def test_forced_symmetric_detection_checks_the_probe(self, alpha, theta, name):
+        # a cascade step reads no probe, but the detector it stands for still checks one
         with pytest.raises(ValueError, match=f"{name} must be"):
-            cascade_simulate(CoefficientPair(0.6, 0.3), k, alpha, theta)
+            detect(twin_beam_state(CoefficientPair(0.6, 0.3).normalized()), alpha, theta, force="symmetric")
 
     @pytest.mark.parametrize("alpha, theta, name", [(math.nan, THETA, "alpha"), (ALPHA, math.inf, "theta")])
     def test_sampled_detection_names_a_non_finite_probe(self, alpha, theta, name):
@@ -367,7 +368,7 @@ angles = st.floats(0.0, 2.0 * math.pi) | st.sampled_from([0.0, math.pi / 2.0])
 def test_cascade_matches_fresh_splitter_loop(angle, k):
     pair = CoefficientPair(math.cos(angle), math.sin(angle))
     state, probabilities, cumulative = fresh_splitter_cascade(pair, k, ALPHA, THETA)
-    run = cascade_simulate(pair, k, ALPHA, THETA)
+    run = cascade_simulate(pair, k)
     assert list(run.state.items()) == list(state.items())
     assert run.step_probabilities == probabilities
     assert run.cumulative_probability == cumulative
@@ -383,6 +384,6 @@ def test_two_cascades_build_the_splitter_once(monkeypatch):
         init(self, register, matrix)
 
     monkeypatch.setattr(ModeTransform, "__init__", counting_init)
-    cascade_simulate(CoefficientPair(0.6, 0.3), 30, ALPHA, THETA)
-    cascade_simulate(CoefficientPair(0.0, 1.0 / math.sqrt(2.0)), 5, ALPHA, THETA)
+    cascade_simulate(CoefficientPair(0.6, 0.3), 30)
+    cascade_simulate(CoefficientPair(0.0, 1.0 / math.sqrt(2.0)), 5)
     assert built == [twin_beam_register]

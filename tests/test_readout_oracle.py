@@ -207,7 +207,7 @@ def test_cascade_steps_match_the_old_detect_loop(pair):
     pair0 = CoefficientPair(*pair)
     states, probabilities = old_cascade(pair0, 30, 1000.0, 0.1)
     for k in range(1, 31):
-        run = cascade_simulate(pair0, k, 1000.0, 0.1)
+        run = cascade_simulate(pair0, k)
         assert [p.hex() for p in run.step_probabilities] == [p.hex() for p in probabilities[:k]]
         cumulative = 1.0
         for p in probabilities[:k]:

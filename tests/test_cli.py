@@ -452,6 +452,25 @@ def test_declared_bound_is_enforced_and_listed(out_dir, tmp_path_factory, capsys
     assert listed.split("):", 1)[0].endswith(f", {bound}")
 
 
+@pytest.mark.parametrize("name", ["cascade", "symmetry-detect"])
+@pytest.mark.parametrize(
+    "probe, param", [("alpha=nan", "alpha"), ("alpha=inf", "alpha"), ("theta=nan", "theta"),
+                     ("theta=inf", "theta"), ("alpha=-1", "alpha"), ("theta=0", "theta")],
+)
+def test_cascade_probe_is_checked_by_its_declared_bounds(out_dir, tmp_path, capsys, name, probe, param):
+    # the cascade simulation takes no probe; these are the probes it rejected,
+    # and each still exits 2 naming the parameter, in `run` and `validate` alike
+    args = [*START_PAIR, probe] + (["k=3"] if name == "cascade" else [])
+    assert run_cli("run", name, *args) == 2
+    assert f"error: parameter '{param}' must be" in capsys.readouterr().err
+    assert not any(out_dir.iterdir())
+    path = tmp_path / "job.cfg"
+    path.write_text("\n".join([f"experiment = {name}"] + args) + "\n")
+    assert run_cli("validate", str(path)) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"error: parameter '{param}' must be") and out.count("\n") == 1
+
+
 def test_validate_lists_every_broken_bound_and_no_cross_rule(tmp_path, capsys):
     path = tmp_path / "job.cfg"
     # m0 = n0 = 0 breaks a cross-parameter rule, reported only once the bounds hold

@@ -41,7 +41,6 @@ from .fock import (
     FockKet,
     ModeRegister,
     expand_bilinear_power,
-    format_float,
 )
 from .kerr import (
     HomodyneOutcome,

@@ -39,7 +39,7 @@ from .detector import (
     detector_probe_state,
     twin_beam_state,
 )
-from .fock import CapacityError, _fidelity, format_float
+from .fock import CapacityError, _fidelity
 from .kerr import _conditioned_terms, homodyne_pdf, make_rng, peak_center
 from .pdc import six_photon_mixture, squeezed_weights
 from .schemes import (
@@ -456,7 +456,7 @@ def _write_outputs(experiment: Experiment, typed: dict, rows: list[tuple]) -> Pa
     if out_dir and not path.is_absolute():
         path = Path(out_dir) / path
     lines = [columns]
-    # an int cell prints as an int; any other cell (a float or numpy float) as format_float prints it
+    # an int cell prints as an int; any other cell (a float or numpy float) in 17 significant digits
     lines += [",".join([str(c) if type(c) is int else format(c, ".17g") for c in row]) for row in rows]
     meta_lines = [
         f"artifact_version = {__version__}",
@@ -464,12 +464,16 @@ def _write_outputs(experiment: Experiment, typed: dict, rows: list[tuple]) -> Pa
     ]
     for key in sorted(recorded):
         value = recorded[key]
-        rendered = format_float(value) if isinstance(value, float) else str(value)
+        rendered = format(value, ".17g") if isinstance(value, float) else str(value)
         meta_lines.append(f"{key} = {rendered}")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("\n".join(lines) + "\n")
-        Path(str(path) + ".meta").write_text("\n".join(meta_lines) + "\n")
+        try:
+            Path(str(path) + ".meta").write_text("\n".join(meta_lines) + "\n")
+        except OSError:
+            path.unlink()  # a CSV without its .meta would pass for a finished run
+            raise
     except OSError as exc:
         raise ConfigError(f"parameter 'output' cannot be written: {exc}") from None
     return path

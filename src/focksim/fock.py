@@ -410,8 +410,3 @@ def expand_bilinear_power(form: Mapping[tuple[int, int], complex], n: int, regis
         for powers, coeff in monomials.items()
     }
     return FockKet(register, terms)
-
-
-def format_float(x: float) -> str:
-    """Canonical 17-significant-digit rendering used in all output files."""
-    return format(float(x), ".17g")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
@@ -39,11 +40,12 @@ class SqueezedExpansion:
     """Amplitudes of the two-mode squeezed state over pair order n.
 
     ``weights[n] = sqrt(n+1) tanh(tau)^n / cosh(tau)^2``; the squared
-    weights sum to 1 in the infinite-order limit.
+    weights sum to 1 in the infinite-order limit.  The weights run up to
+    the truncation order or stop short of it, before the first order at
+    which ``tanh(tau)**n`` underflows to 0.0 (n = 1 at tau = 0).
     """
 
     tau: float
-    n_max: int
     weights: tuple[float, ...]
 
     @property
@@ -65,6 +67,13 @@ class SqueezedExpansion:
 
 
 def squeezed_weights(tau: float, n_max: int) -> SqueezedExpansion:
+    """The two-mode squeezed amplitudes at interaction ``tau``, truncated at order ``n_max``.
+
+    Orders past the first one whose ``tanh(tau)**n`` is 0.0 are left out:
+    the power only falls with n, so every later weight would be 0.0 too.
+    Raises ``ValueError`` for a negative or NaN ``tau`` or a negative
+    ``n_max``, and ``OverflowError`` once ``cosh(tau)**2`` overflows.
+    """
     if not tau >= 0:  # NaN fails too
         raise ValueError(f"interaction parameter tau must be non-negative, got {tau}")
     n_max = int(n_max)
@@ -75,8 +84,9 @@ def squeezed_weights(tau: float, n_max: int) -> SqueezedExpansion:
     except OverflowError:
         raise OverflowError(f"tau={tau} is too large: cosh(tau)**2 overflows a double") from None
     t = math.tanh(tau)
-    weights = tuple(math.sqrt(n + 1.0) * t**n * sech2 for n in range(n_max + 1))
-    return SqueezedExpansion(tau=float(tau), n_max=n_max, weights=weights)
+    orders = takewhile(lambda n: t**n != 0.0, range(n_max + 1))
+    weights = tuple(math.sqrt(n + 1.0) * t**n * sech2 for n in orders)
+    return SqueezedExpansion(tau=float(tau), weights=weights)
 
 
 @dataclass(frozen=True)
@@ -90,7 +100,6 @@ class SixPhotonMixtureWeights:
     identically.
     """
 
-    k: float
     amps: tuple[complex, complex, complex]
 
     @property
@@ -110,4 +119,4 @@ def six_photon_mixture(k: float) -> SixPhotonMixtureWeights:
     )
     if not np.isfinite(amps).all():
         raise CapacityError(f"k={k} is too large: the mixture amplitudes are not finite")
-    return SixPhotonMixtureWeights(k=k, amps=amps)
+    return SixPhotonMixtureWeights(amps=amps)

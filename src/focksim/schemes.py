@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .elements import ModeTransform, apply_circuit, bs_unbalanced, pbs, polarization_rotation
-from .fock import FockKet, ModeRegister, _Selection, expand_bilinear_power
+from .fock import FockKet, ModeRegister, _Selection
 from .kerr import (
     _conditioned_terms,
     _draw_homodyne,
@@ -27,7 +27,7 @@ from .kerr import (
     peak_center,
     repair_phase,
 )
-from .pdc import singlet_form
+from .pdc import psi_n
 
 SCHEME_SPATIALS = ("c1", "c2", "c3", "d1", "d2", "d3")
 scheme_register = ModeRegister.polarized(*SCHEME_SPATIALS)
@@ -40,7 +40,7 @@ _C1_H = scheme_register.index("c1", "H")  # the mode whose phase the GHZ repair 
 GHZ_KERR_THETA_WEIGHTS = (1, 2, 3, 3, 6, 9)
 GHZ_PROBE_GATE = -24  # half-theta units
 
-_PIPE_SPATIALS = ("a", "b", "c0", "c1", "c2", "c3", "d0", "d1", "d2", "d3")
+_SPLITTER_SPATIALS = ("c0", "c1", "c2", "c3", "d0", "d1", "d2", "d3")
 
 # cyclic path assignments appearing in the three-way splitter output
 _C_PERMS = (("c1", "c2", "c3"), ("c1", "c3", "c2"), ("c2", "c3", "c1"))
@@ -55,7 +55,6 @@ class SchemeResult:
 
     state: FockKet
     postselect_probability: float
-    theta: float
 
 
 def pattern_occupation(pattern: str) -> tuple[int, ...]:
@@ -99,9 +98,9 @@ def w_pair_state(flipped: bool = False) -> FockKet:
 
 @cache
 def _preparation() -> tuple[FockKet, tuple[ModeTransform, ...]]:
-    """The normalized twin-beam input and the four splitters, built once per process."""
-    register = ModeRegister.polarized(*_PIPE_SPATIALS)
-    source = expand_bilinear_power(singlet_form(register), 3, register).normalized()
+    """psi_n(3) padded with the splitters' vacuum modes, and the four splitters, built once per process."""
+    source = psi_n(3).extended(ModeRegister.polarized(*_SPLITTER_SPATIALS).modes)
+    register = source.register
     splitters = (
         bs_unbalanced(register, "a", "c1", "c0", 2.0 / 3.0),
         bs_unbalanced(register, "b", "d1", "d0", 2.0 / 3.0),
@@ -127,7 +126,6 @@ def build_psi_theta(theta: float) -> SchemeResult:
     return SchemeResult(
         state=projected.restricted(SCHEME_SPATIALS),
         postselect_probability=probability,
-        theta=float(theta),
     )
 
 

@@ -700,21 +700,38 @@ def test_grid_too_long_for_memory_is_a_capacity_error(tmp_path, args):
     assert not any(tmp_path.iterdir())
 
 
-def test_n_max_too_large_for_memory_is_a_capacity_error(tmp_path):
-    # the weight tuple grows one float per order until the 400 MB address-space
-    # limit refuses it, within a few seconds; it ended in a MemoryError traceback.
-    # One BLAS thread, so the limit leaves numpy's import room on any core count
+def run_pdc_weights_in_400mb(out: Path, *args: str) -> subprocess.CompletedProcess:
+    # one BLAS thread, so the limit leaves numpy's import room on any core count
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (400_000 * 1024, 400_000 * 1024))
 
-    env = dict(os.environ, PYTHONPATH=str(SRC), FOCKSIM_OUT_DIR=str(tmp_path),
+    env = dict(os.environ, PYTHONPATH=str(SRC), FOCKSIM_OUT_DIR=str(out),
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-m", "focksim.cli", "run", "pdc-weights", "tau=0.3", "n_max=1000000000"],
+    return subprocess.run([sys.executable, "-m", "focksim.cli", "run", "pdc-weights", *args],
                           env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit_address_space)
+
+
+def test_n_max_too_large_for_memory_is_a_capacity_error(tmp_path):
+    # tanh(20) rounds to 1.0, so no weight vanishes: the weight tuple grows one
+    # float per order until the 400 MB address-space limit refuses it, within a
+    # few seconds; it ended in a MemoryError traceback
+    done = run_pdc_weights_in_400mb(tmp_path, "tau=20", "n_max=1000000000")
     assert done.returncode == 3, done.stderr
     assert " n_max=1000000000 " in done.stderr
     assert "Traceback" not in done.stderr
     assert not any(tmp_path.iterdir())
+
+
+def test_weights_stop_where_they_underflow(tmp_path):
+    # past n = 604 every tau=0.3 weight is 0.0 and prints no row: the weights stop
+    # there, so a billion orders fit in 400 MB and write the n_max=1000 CSV.
+    # It built them all, until memory ran out (exit 3)
+    done = run_pdc_weights_in_400mb(tmp_path / "huge", "tau=0.3", "n_max=1000000000")
+    assert done.returncode == 0, done.stderr
+    assert run_pdc_weights_in_400mb(tmp_path / "small", "tau=0.3", "n_max=1000").returncode == 0
+    csv = (tmp_path / "huge" / "pdc-weights.csv").read_bytes()
+    assert csv == (tmp_path / "small" / "pdc-weights.csv").read_bytes()
+    assert csv.count(b"\n") == 1 + 605
 
 
 @pytest.mark.parametrize("where, reason", [("directory", "Is a directory"), ("under-a-file", "File exists")])
@@ -726,6 +743,15 @@ def test_output_that_cannot_be_written_is_a_config_error(tmp_path, capsys, where
     err = capsys.readouterr().err
     assert err.startswith("error: parameter 'output' cannot be written: ") and reason in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_output_whose_meta_cannot_be_written_leaves_no_csv(tmp_path, capsys):
+    # the CSV was written before its .meta failed, and stayed behind with no .meta
+    (tmp_path / "x.csv.meta").mkdir()
+    assert run_cli("run", "psi-theta", "grid=2", f"output={tmp_path / 'x.csv'}") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parameter 'output' cannot be written: ") and "x.csv.meta" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv.meta"]
 
 
 class Drawn(Exception):

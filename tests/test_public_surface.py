@@ -7,7 +7,27 @@ from pathlib import Path
 import pytest
 
 import focksim
-from focksim import ModeRegister, ModeTransform, build_psi_theta, decode_table, discrimination_error, squeezed_weights
+from focksim import (
+    CoefficientPair,
+    FockKet,
+    ModeRegister,
+    ModeTransform,
+    attach_probe,
+    bs_5050,
+    bs_unbalanced,
+    build_psi_theta,
+    decode_table,
+    detect,
+    discrimination_error,
+    expand_bilinear_power,
+    pattern_occupation,
+    sample_homodyne,
+    singlet_form,
+    squeezed_weights,
+    tagged_circuit_state,
+    twin_beam_state,
+)
+from focksim.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -61,3 +81,48 @@ def test_nan_fails_the_public_range_checks(call, name):
     # a check written as ``deviation > tol`` or ``tau < 0`` lets NaN through
     with pytest.raises(ValueError, match=name):
         call()
+
+
+TWIN = twin_beam_state(CoefficientPair(0.5, 0.5))
+ARMS = ModeRegister.polarized("a", "b", "c")
+UNNORMALIZED = FockKet(ARMS, {(1, 0, 0, 0, 0, 0): 2.0})
+REFUSALS = {
+    "detect-unknown-force": (lambda: detect(TWIN, 1000.0, 0.1, force="both"), "unknown forced outcome 'both'"),
+    "detect-sampled-without-rng": (lambda: detect(TWIN, 1000.0, 0.1), "sampled detection needs an rng or seed"),
+    "bs-5050-one-mode": (lambda: bs_5050(ARMS, "a", "a"), "beam splitter needs two distinct spatial modes"),
+    "bs-unbalanced-repeated-mode": (lambda: bs_unbalanced(ARMS, "a", "a", "b", 0.5),
+                                    "input, reflected and transmitted spatial modes must be distinct"),
+    "bs-unbalanced-absent-input": (lambda: bs_unbalanced(ARMS, "z", "b", "c", 0.5),
+                                   "input spatial mode 'z' not present in register"),
+    "register-empty-spatial-name": (lambda: ModeRegister([("", "H")]), "spatial name must be non-empty"),
+    "register-absent-spatial": (lambda: ARMS.spatial_indices("z"), "no spatial mode 'z' in register"),
+    "bilinear-negative-power": (lambda: expand_bilinear_power(singlet_form(ARMS), -1, ARMS),
+                                "power must be non-negative"),
+    "squeezing-negative-order": (lambda: squeezed_weights(0.3, -1), "n_max must be non-negative"),
+    "pattern-letter": (lambda: pattern_occupation("HHX"), "pattern must be six H/V letters, got 'HHX'"),
+    "circuit-twin-beam-ket": (lambda: tagged_circuit_state(TWIN, 1000.0, 0.1),
+                              "circuit expects a ket on the six-mode scheme register"),
+    "sampling-unnormalized": (lambda: sample_homodyne(attach_probe(UNNORMALIZED, 2.0, 0.1), 7),
+                              "sampling needs a normalized probe-tagged state"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_public_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("experiment = psi-theta\ngrid = 2\ngrid = 3\n", "line 3: duplicate key 'grid'"),
+    ("grid = 2\n", "missing required field 'experiment'"),
+], ids=["duplicate-key", "no-experiment"])
+def test_config_refusals_exit_2_in_run_and_validate(tmp_path, monkeypatch, capsys, text, message):
+    monkeypatch.setenv("FOCKSIM_OUT_DIR", str(tmp_path / "out"))
+    config = tmp_path / "job.cfg"
+    config.write_text(text)
+    assert main(["run", str(config)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert main(["validate", str(config)]) == 2
+    assert f"error: {message}" in capsys.readouterr().out
+    assert not (tmp_path / "out").exists()

@@ -14,8 +14,8 @@ a sweep and a sampled run all reuse the same table.
 
 The readouts that run many times build no intermediate ket:
 :func:`decide_and_repair` phases and prunes an outcome's conditioned terms
-in one loop, and a cascade step tags, prunes, weighs and keeps the
-splitter's output terms in another.  Each does the float operations of the
+in one loop, and a forced detection (a cascade step is one) tags, prunes,
+weighs and keeps the splitter's output terms in another.  Each does the float operations of the
 kets it replaces, in their order and through the same builtin ``sum``
 calls, so no output bit changes.
 
@@ -30,15 +30,16 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from operator import mul
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .elements import ModeTransform, bs_5050
-from .fock import PRUNE_THRESHOLD, CapacityError, FockKet, ModeRegister
+from .fock import PRUNE_THRESHOLD, CapacityError, FockKet, ModeRegister, _pruned
 from .kerr import (
     _check_probe,
     _draw_homodyne,
+    _turned,
     apply_cross_kerr,
     apply_probe_phase,
     attach_probe,
@@ -100,20 +101,10 @@ def twin_beam_state(pair: CoefficientPair) -> FockKet:
     )
 
 
-def _phased(terms: Iterable[tuple[tuple[int, ...], complex]], phi: float, indices: tuple[int, ...]) -> dict:
-    """Each ``(occupation, amplitude)`` turned by exp(i phi/2) per photon in the modes ``indices``, then pruned."""
-    out = {}
-    for occ, amp in terms:
-        count = sum(map(occ.__getitem__, indices))
-        amp = amp * complex(math.cos(0.5 * phi * count), math.sin(0.5 * phi * count))
-        if not abs(amp) < PRUNE_THRESHOLD:
-            out[occ] = amp
-    return out
-
-
 def apply_phase_correction(state: FockKet, phi: float, spatial: str) -> FockKet:
     """Multiply each term by exp(i phi/2) per photon in one spatial arm."""
-    return FockKet._from_valid(state.register, _phased(state.items(), phi, state.register.spatial_indices(spatial)))
+    indices = state.register.spatial_indices(spatial)
+    return FockKet._from_valid(state.register, _turned(state.items(), 0.5 * phi, indices))
 
 
 def decide_and_repair(conditional: Mapping, x: float, alpha: float, theta: float) -> tuple[str, Mapping]:
@@ -129,7 +120,7 @@ def decide_and_repair(conditional: Mapping, x: float, alpha: float, theta: float
     if x > midpoint_threshold(alpha, theta):
         return "symmetric", conditional
     phi = repair_phase(alpha, theta, x) % (2.0 * math.pi)
-    return "asymmetric", _phased(conditional.items(), phi, _ARM_B)
+    return "asymmetric", _pruned(_turned(conditional.items(), 0.5 * phi, _ARM_B))
 
 
 @cache
@@ -146,26 +137,32 @@ def detector_probe_state(state: FockKet, alpha: float, theta: float):
     return apply_probe_phase(tagged, PROBE_GATE)
 
 
-def _symmetric_step(state: FockKet) -> tuple[FockKet, float]:
-    """State and probability of ``detect(state, alpha, theta, force="symmetric")``, for any valid probe.
+def _forced(state: FockKet, branch: str) -> tuple[FockKet, float]:
+    """State and probability of ``detect(state, alpha, theta, force=branch)``, for any valid probe.
 
     One loop over the shared splitter's output does the work of the three
-    tagged states of :func:`detector_probe_state` and of ``branch(0)``.  Each
+    tagged states of :func:`detector_probe_state` and of the kept branch.  Each
     term gets its probe-phase index (exact in integers) and the ``0.0 +`` of
     :func:`apply_cross_kerr`, which clears a negative zero's sign, and is
     pruned.  The index-0 terms add ``|amplitude|**2`` to a running sum, as
-    ``group_weights`` does, and are kept and normalized as ``branch(0)`` is.
+    ``group_weights`` does.  The branch's terms (index 0 for "symmetric", the
+    rest for "asymmetric") are kept and normalized as ``branch(0)`` is.
     """
+    symmetric = branch == "symmetric"
     p_symmetric = 0.0
     kept = {}
     for occ, amp in _splitter(state.register).apply(state.normalized()).items():
         amp = 0.0 + amp
-        if sum(map(mul, KERR_WEIGHTS, occ)) + PROBE_GATE == 0 and not abs(amp) < PRUNE_THRESHOLD:
+        at_zero = sum(map(mul, KERR_WEIGHTS, occ)) + PROBE_GATE == 0
+        if at_zero and not abs(amp) < PRUNE_THRESHOLD:
             p_symmetric += abs(amp) ** 2
+        if at_zero == symmetric and not abs(amp) < PRUNE_THRESHOLD:
             kept[occ] = amp
     if not kept:
-        raise ValueError("state has no symmetric component")
-    return FockKet._from_valid(state.register, kept).normalized(), p_symmetric
+        raise ValueError(f"state has no {branch} component")
+    # the asymmetric branch is read at its peak centre: the repair phase
+    # vanishes, and opposite-phase branches merge with unit relative phase
+    return FockKet._from_valid(state.register, kept).normalized(), p_symmetric if symmetric else 1.0 - p_symmetric
 
 
 def detect(
@@ -191,20 +188,11 @@ def detect(
     if force not in (None, "symmetric", "asymmetric"):
         raise ValueError(f"unknown forced outcome {force!r}")
 
-    if force == "symmetric":
+    if force is not None:
         _check_probe(alpha, theta)
-        return DetectorOutcome("symmetric", *_symmetric_step(state))
+        return DetectorOutcome(force, *_forced(state, force))
     tagged = detector_probe_state(state.normalized(), alpha, theta)
     p_symmetric = tagged.group_weights().get(0, 0.0)
-    if force == "asymmetric":
-        kept = {occ: amp for (occ, idx), amp in tagged.items() if idx != 0}
-        if not kept:
-            raise ValueError("state has no asymmetric component")
-        # peak-centre outcome: repair phase vanishes, opposite-phase
-        # branches merge with unit relative phase
-        merged = FockKet._from_valid(tagged.register, kept).normalized()
-        return DetectorOutcome("asymmetric", merged, 1.0 - p_symmetric)
-
     if rng is None:
         raise ValueError("sampled detection needs an rng or seed")
     x, _, terms = _draw_homodyne(tagged, rng)
@@ -295,7 +283,7 @@ def cascade_simulate(pair0: CoefficientPair, k: int) -> CascadeRun:
     probabilities: list[float] = []
     cumulative = 1.0
     for _ in range(k):
-        state, probability = _symmetric_step(state)
+        state, probability = _forced(state, "symmetric")
         probabilities.append(probability)
         cumulative *= probability
     return CascadeRun(state, tuple(probabilities), cumulative)

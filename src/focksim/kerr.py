@@ -51,6 +51,13 @@ def repair_phase(alpha: float, phase: float, x: float) -> float:
     return alpha * math.sin(phase) * (x - peak_center(alpha, phase))
 
 
+def _turned(terms: Iterable[tuple[tuple[int, ...], complex]], rate: float, indices: tuple[int, ...]):
+    """Each ``(occupation, amplitude)`` turned by exp(i rate n), n its photons in the modes ``indices``; unpruned."""
+    for occ, amp in terms:
+        angle = rate * sum(map(occ.__getitem__, indices))
+        yield occ, amp * complex(math.cos(angle), math.sin(angle))
+
+
 _TaggedTerms = Mapping[tuple[tuple[int, ...], int], complex]  # keyed by (occupation, phase index)
 
 

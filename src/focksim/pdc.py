@@ -71,11 +71,11 @@ def squeezed_weights(tau: float, n_max: int) -> SqueezedExpansion:
 
     Orders past the first one whose ``tanh(tau)**n`` is 0.0 are left out:
     the power only falls with n, so every later weight would be 0.0 too.
-    Raises ``ValueError`` for a negative or NaN ``tau`` or a negative
-    ``n_max``, and ``OverflowError`` once ``cosh(tau)**2`` overflows.
+    Raises ``ValueError`` for a negative, infinite or NaN ``tau`` or a
+    negative ``n_max``, and ``OverflowError`` once ``cosh(tau)**2`` overflows.
     """
-    if not tau >= 0:  # NaN fails too
-        raise ValueError(f"interaction parameter tau must be non-negative, got {tau}")
+    if not 0 <= tau < math.inf:  # NaN fails too
+        raise ValueError(f"interaction parameter tau must be finite and non-negative, got {tau}")
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
@@ -109,8 +109,8 @@ class SixPhotonMixtureWeights:
 
 def six_photon_mixture(k: float) -> SixPhotonMixtureWeights:
     k = float(k)
-    if k < 1.0:
-        raise ValueError("pulse-duration ratio k must be at least 1")
+    if not k >= 1.0:  # NaN fails too
+        raise ValueError(f"pulse-duration ratio k must be at least 1, got {k}")
     denom = (k + 1.0) * (k + 2.0)
     amps = (
         complex(np.sqrt(complex(6.0 / denom))),

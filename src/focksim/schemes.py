@@ -20,6 +20,7 @@ from .fock import FockKet, ModeRegister, _Selection
 from .kerr import (
     _conditioned_terms,
     _draw_homodyne,
+    _turned,
     apply_cross_kerr,
     apply_probe_phase,
     attach_probe,
@@ -33,7 +34,7 @@ SCHEME_SPATIALS = ("c1", "c2", "c3", "d1", "d2", "d3")
 scheme_register = ModeRegister.polarized(*SCHEME_SPATIALS)
 # the post-selection of the preparation, which the extraction circuit needs of its input
 _ONE_PHOTON_PER_MODE = {spatial: 1 for spatial in SCHEME_SPATIALS}
-_C1_H = scheme_register.index("c1", "H")  # the mode whose phase the GHZ repair turns
+_C1_H = (scheme_register.index("c1", "H"),)  # the mode whose phase the GHZ repair turns
 
 # Kerr cell strengths on the tapped horizontal paths, in base-phase units,
 # ordered as SCHEME_SPATIALS; the probe gate then rewinds 12 base units.
@@ -248,8 +249,8 @@ def decode_table(alpha: float, theta: float) -> GhzDecodeTable:
     their midpoint ``alpha (cos a theta + cos b theta)``.  Rejected when the
     peak ordering degenerates (theta too large).
     """
-    if not alpha > 0:  # NaN fails too
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:  # NaN fails too
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if not theta > 0:
         raise ValueError(f"theta must be positive, got {theta}")
     patterns = _branch_patterns()
@@ -353,7 +354,9 @@ class GhzReadout:
         interval = table.lookup(x)
         relabel = self._maps[interval.index]
         phi = repair_phase(table.alpha, interval.branch * table.theta, x)
-        return FockKet._from_valid(scheme_register, _repaired(terms, relabel, phi)), interval.index
+        # -2 phi per photon in c1 H cancels the relative phase of the surviving pair (uniform after the flips)
+        relabelled = ((relabel[occ], amp) for occ, amp in terms.items())
+        return FockKet._from_valid(scheme_register, _turned(relabelled, -2.0 * phi, _C1_H)), interval.index
 
     def condition(self, x: float) -> tuple[FockKet | None, int]:
         """Corrected state and interval index for the quadrature outcome ``x``.
@@ -382,15 +385,6 @@ class GhzReadout:
                 total += weight * (hi - lo)
             probabilities.append(total)
         return tuple(probabilities)
-
-
-def _repaired(terms: dict, relabel: dict, phi: float):
-    """Each term relabelled and turned by ``-2 phi`` per photon in ``c1 H``,
-    which cancels the relative phase of the surviving pair (uniform after the flips)."""
-    for occ, amp in terms.items():
-        target = relabel[occ]
-        angle = 2.0 * phi * target[_C1_H]
-        yield target, amp * complex(math.cos(angle), -math.sin(angle))
 
 
 def ghz_circuit(

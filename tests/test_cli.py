@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import math
@@ -346,6 +347,10 @@ SIMULATION_DIGESTS = {
     ("cascade", "m0=0.5", "n0=-0.5000001", "k=30"): "10305307758b18c24f65e76a503724151839f7314913a0e32ba0206b298bbce0",
     ("cascade", "m0=1", "n0=1", "k=5"): "5cf67d4771082b594cd4edc4002d980dba0b395d2d95cacccd9d9d7ccf9c21c4",
     ("symmetry-detect", "m0=0.6", "n0=0.3"): "ed8ef296027b057c3e2b15fb6d7eed88ac4a120ae8fdfb356ca799be9e4d58b3",
+    # both pdc-weights modes: the mixture at 1 < k < 2, the vacuum, and weights that stop past n = 604
+    ("pdc-weights", "k=1.5"): "4689844e573b29c82a761458eeaf0f7bc6ca3f6c1b1a654fbfd0b0afe170a6db",
+    ("pdc-weights", "tau=0"): "9a4499505a1f3dd44f089b416dcc81f462bca09c3a92c5b0d7cb82d2f43ab002",
+    ("pdc-weights", "tau=0.3", "n_max=1000"): "423f81638f071fb0f1c2ea1c6a9b282f08f66f0e4e9f2f1953bff5cb39b4f39d",
 }
 
 
@@ -786,6 +791,16 @@ def test_validate_draws_no_rows(out_dir, monkeypatch, capsys, tmp_path_factory, 
     assert capsys.readouterr().out == "ok\n"
     with pytest.raises(Drawn):
         run_cli("run", *args)
+    assert not any(out_dir.iterdir())
+
+
+def test_a_value_error_from_the_library_exits_2_without_a_traceback(out_dir, monkeypatch, capsys):
+    def refuse(typed):
+        raise ValueError("refused by the library")
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "psi-theta", dataclasses.replace(cli.EXPERIMENTS["psi-theta"], runner=refuse))
+    assert run_cli("run", "psi-theta") == 2
+    assert capsys.readouterr().err == "error: refused by the library\n"
     assert not any(out_dir.iterdir())
 
 

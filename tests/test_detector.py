@@ -335,6 +335,24 @@ class TestCascadeSimulate:
         with pytest.raises(ValueError, match=f"{name} must be"):
             detect(twin_beam_state(CoefficientPair(0.6, 0.3).normalized()), alpha, theta, force="symmetric")
 
+    @pytest.mark.parametrize(
+        "alpha, theta, name", [(math.nan, THETA, "alpha"), (ALPHA, math.inf, "theta"), (ALPHA, 0.0, "theta")],
+    )
+    def test_forced_asymmetric_detection_checks_the_probe(self, alpha, theta, name):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            detect(twin_beam_state(CoefficientPair(0.6, 0.3).normalized()), alpha, theta, force="asymmetric")
+
+    @pytest.mark.parametrize("force", ["symmetric", "asymmetric"])
+    def test_forced_detection_builds_no_tagged_state(self, monkeypatch, force):
+        def tagged(*_):
+            raise AssertionError("forced detection built a tagged state")
+
+        monkeypatch.setattr(detector, "detector_probe_state", tagged)
+        monkeypatch.setattr(detector, "attach_probe", tagged)
+        outcome = detect(twin_beam_state(CoefficientPair(0.6, 0.3).normalized()), ALPHA, THETA, force=force)
+        assert outcome.branch == force
+        assert 0.0 < outcome.probability < 1.0
+
     @pytest.mark.parametrize("alpha, theta, name", [(math.nan, THETA, "alpha"), (ALPHA, math.inf, "theta")])
     def test_sampled_detection_names_a_non_finite_probe(self, alpha, theta, name):
         # a NaN alpha failed the draw blaming "quadrature x"

@@ -335,3 +335,17 @@ def test_output_past_the_sqrt_factorial_table_raises():
     # 18 photons in (a, b): an output mode can receive more than the cap plus one
     with pytest.raises(CapacityError):
         bs_5050(TWIN, "a", "b").apply(FockKet.basis(TWIN, (9, 0, 9, 0)))
+
+
+def test_the_transform_repr_names_its_register():
+    assert repr(bs_5050(TWIN, "a", "b")) == "ModeTransform(on ModeRegister(aH aV bH bV))"
+
+
+def test_an_empty_circuit_returns_the_ket_or_its_projection():
+    ket = psi_n(2)
+    assert apply_circuit(ket, ()) is ket
+    projected, probability = apply_circuit(ket, (), postselect={"aH": 2})
+    expected, expected_probability = ket.project({"aH": 2})
+    assert list(projected.items()) == list(expected.items())
+    assert probability == expected_probability
+    assert 0.0 < probability < 1.0

@@ -49,6 +49,11 @@ class TestAttachProbe:
         tagged = tagged_detector_state(0.5, 0.5)
         assert tagged.is_normalized
 
+    def test_absent_branch_is_none_and_the_repr_names_the_probe(self):
+        tagged = attach_probe(FockKet.vacuum(TWO), 2.0, 0.5)
+        assert tagged.branch(1) is None
+        assert repr(tagged) == "ProbeTaggedState(1 branches, alpha=2.0, theta=0.5)"
+
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             attach_probe(FockKet.vacuum(TWO), -1.0, 0.5)

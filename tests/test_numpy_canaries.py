@@ -3,6 +3,7 @@
 The kernel replays CPython's complex arithmetic on float arrays, so each
 operation it uses must round as CPython's does.  A numpy upgrade that
 breaks one of these fails here, by name, rather than as a digest mismatch.
+The last canary names the libm symmetry that the phase repairs rely on.
 """
 
 import functools
@@ -66,3 +67,11 @@ def test_complex_arrays_round_trip_python_complex_exactly():
     assert np.fromiter(amps, complex, len(amps)).tolist() == amps
     parts = np.fromiter(amps, complex, len(amps)).view(float).reshape(-1, 2).tolist()
     assert parts == [[z.real, z.imag] for z in amps]
+
+
+def test_libm_cosine_is_even_and_sine_is_odd():
+    # the GHZ repair turns by cos(-a) + i sin(-a), where it once took cos(a) - i sin(a)
+    angles = [abs(v) for v in values(12)] + [2.0**e * m for e in range(-30, 61) for m in (1.0, 1.1, math.pi / 2)]
+    for a in angles:
+        assert math.cos(-a).hex() == math.cos(a).hex()
+        assert math.sin(-a).hex() == (-math.sin(a)).hex()

@@ -70,8 +70,8 @@ class TestPairStates:
 class TestSqueezedWeights:
     def test_zero_interaction_is_vacuum(self):
         expansion = squeezed_weights(0.0, 10)
-        assert expansion.weights[0] == 1.0
-        assert all(w == 0.0 for w in expansion.weights[1:])
+        # tanh(0)**1 is 0.0, so the weights stop after order 0
+        assert expansion.weights == (1.0,)
         assert expansion.mean_photons_per_arm == 0.0
 
     def test_weights_follow_closed_form(self):

@@ -23,8 +23,10 @@ from focksim import (
     pattern_occupation,
     sample_homodyne,
     singlet_form,
+    six_photon_mixture,
     squeezed_weights,
     tagged_circuit_state,
+    twin_beam_register,
     twin_beam_state,
 )
 from focksim.cli import main
@@ -70,6 +72,11 @@ NAN_INPUTS = {
     "decode-alpha": (lambda: decode_table(NAN, 0.1), "alpha"),
     "decode-theta": (lambda: decode_table(1000.0, NAN), "theta"),
     "squeezing-tau": (lambda: squeezed_weights(NAN, 3), "tau"),
+    # cosh(inf) is inf and does not raise: the weights read 0.0 and ran to n_max
+    "squeezing-infinite-tau": (lambda: squeezed_weights(math.inf, 5), "tau"),
+    "mixture-ratio": (lambda: six_photon_mixture(NAN), "at least 1"),
+    # the thresholds read inf and the refusal named theta
+    "decode-infinite-alpha": (lambda: decode_table(math.inf, 0.1), "alpha"),
     "misassignment-alpha": (lambda: discrimination_error(NAN, 0.1), "alpha"),
     "misassignment-theta": (lambda: discrimination_error(2.0, NAN), "theta"),
     "decode-lookup-x": (lambda: decode_table(1000.0, 0.1).lookup(NAN), "x"),
@@ -89,6 +96,12 @@ UNNORMALIZED = FockKet(ARMS, {(1, 0, 0, 0, 0, 0): 2.0})
 REFUSALS = {
     "detect-unknown-force": (lambda: detect(TWIN, 1000.0, 0.1, force="both"), "unknown forced outcome 'both'"),
     "detect-sampled-without-rng": (lambda: detect(TWIN, 1000.0, 0.1), "sampled detection needs an rng or seed"),
+    # |3,3> of the H modes leaves a 50:50 splitter with no |3,3> term (odd n)
+    "detect-no-symmetric-component": (
+        lambda: detect(FockKet(twin_beam_register, {(3, 0, 3, 0): 1.0}), 1000.0, 0.1, force="symmetric"),
+        "state has no symmetric component"),
+    "detect-no-asymmetric-component": (lambda: detect(TWIN, 1000.0, 0.1, force="asymmetric"),
+                                       "state has no asymmetric component"),
     "bs-5050-one-mode": (lambda: bs_5050(ARMS, "a", "a"), "beam splitter needs two distinct spatial modes"),
     "bs-unbalanced-repeated-mode": (lambda: bs_unbalanced(ARMS, "a", "a", "b", 0.5),
                                     "input, reflected and transmitted spatial modes must be distinct"),

@@ -3,7 +3,8 @@
 A ``homodyne-sweep`` row used to condition into a ket, repair the phase
 into a second ket and take ``FockKet.fidelity`` against a target ket; a
 cascade step (``detect(state, alpha, theta, force="symmetric")``) used to
-build three tagged states and take the phase-0 branch.
+build three tagged states and take the phase-0 branch, and forced
+asymmetric detection to build them and keep every other branch.
 Both old paths are written out here, and every float they give is compared
 with ``float.hex``, so a sign of zero or a last bit that moves fails.
 """
@@ -25,7 +26,7 @@ from focksim.detector import (
     twin_beam_register,
     twin_beam_state,
 )
-from focksim.fock import PRUNE_THRESHOLD
+from focksim.fock import PRUNE_THRESHOLD, FockKet
 from focksim.kerr import homodyne_pdf, midpoint_threshold, peak_center, repair_phase
 
 ARM_B = twin_beam_register.spatial_indices("b")
@@ -214,3 +215,35 @@ def test_cascade_steps_match_the_old_detect_loop(pair):
             cumulative *= p
         assert run.cumulative_probability.hex() == cumulative.hex()
         assert ket_bits(run.state) == ket_bits(states[k - 1])
+
+
+def old_forced(state, alpha: float, theta: float, branch: str):
+    """``detect(state, alpha, theta, force=branch)`` as it was: three tagged states, then one branch kept."""
+    tagged = detector_probe_state(state.normalized(), alpha, theta)
+    p_symmetric = tagged.group_weights().get(0, 0.0)
+    if branch == "symmetric":
+        kept = {occ: amp for (occ, idx), amp in tagged.items() if idx == 0}
+        probability = p_symmetric
+    else:
+        kept = {occ: amp for (occ, idx), amp in tagged.items() if idx != 0}
+        probability = 1.0 - p_symmetric
+    if not kept:
+        raise ValueError(f"state has no {branch} component")
+    return FockKet._from_valid(tagged.register, kept).normalized(), probability
+
+
+@pytest.mark.parametrize("branch", ["symmetric", "asymmetric"])
+@pytest.mark.parametrize("probe", PROBES, ids=[f"alpha={a}-theta={t}" for a, t in PROBES])
+@pytest.mark.parametrize("pair", PAIRS, ids=[f"m0={m}-n0={n}" for m, n in PAIRS])
+def test_forced_detection_matches_the_old_tagged_path(pair, probe, branch):
+    state = twin_beam_state(CoefficientPair(*pair).normalized())
+    try:
+        old_state, old_probability = old_forced(state, *probe, branch)
+    except ValueError as exc:  # m = n has no asymmetric component
+        with pytest.raises(ValueError, match=str(exc)):
+            detect(state, *probe, force=branch)
+        return
+    outcome = detect(state, *probe, force=branch)
+    assert outcome.branch == branch
+    assert ket_bits(outcome.state) == ket_bits(old_state)
+    assert outcome.probability.hex() == old_probability.hex()

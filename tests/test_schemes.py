@@ -193,6 +193,11 @@ class TestDecodeTable:
             assert interval.x_lo < center < interval.x_hi
             assert table.lookup(center) is interval
 
+    def test_infinite_outcomes_read_the_outer_intervals(self):
+        table = decode_table(ALPHA, THETA)
+        assert table.lookup(math.inf) is table.intervals[-1]
+        assert table.lookup(-math.inf) is table.intervals[0]
+
     def test_flip_sets_have_at_most_two_entries(self):
         table = decode_table(ALPHA, THETA)
         for interval in table.intervals:

@@ -70,7 +70,7 @@ def test_complex_arrays_round_trip_python_complex_exactly():
 
 
 def test_libm_cosine_is_even_and_sine_is_odd():
-    # the GHZ repair turns by cos(-a) + i sin(-a), where it once took cos(a) - i sin(a)
+    # the GHZ repair turns by cos(-a) + i sin(-a); its pinned bits were recorded with cos(a) - i sin(a)
     angles = [abs(v) for v in values(12)] + [2.0**e * m for e in range(-30, 61) for m in (1.0, 1.1, math.pi / 2)]
     for a in angles:
         assert math.cos(-a).hex() == math.cos(a).hex()

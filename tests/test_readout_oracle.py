@@ -5,7 +5,7 @@ into a second ket and take ``FockKet.fidelity`` against a target ket; a
 cascade step (``detect(state, alpha, theta, force="symmetric")``) used to
 build three tagged states and take the phase-0 branch, and forced
 asymmetric detection to build them and keep every other branch.
-Both old paths are written out here, and every float they give is compared
+Each old path is written out here, and every float it gives is compared
 with ``float.hex``, so a sign of zero or a last bit that moves fails.
 """
 

@@ -142,17 +142,19 @@ def _forced(state: FockKet, branch: str) -> tuple[FockKet, float]:
 
     One loop over the shared splitter's output does the work of the three
     tagged states of :func:`detector_probe_state` and of the kept branch.  Each
-    term gets its probe-phase index (exact in integers) and the ``0.0 +`` of
-    :func:`apply_cross_kerr`, which clears a negative zero's sign, and is
-    pruned.  The index-0 terms add ``|amplitude|**2`` to a running sum, as
-    ``group_weights`` does.  The branch's terms (index 0 for "symmetric", the
-    rest for "asymmetric") are kept and normalized as ``branch(0)`` is.
+    term gets its probe-phase index (exact in integers) and is pruned; the
+    ``0.0 +`` of :func:`apply_cross_kerr` would change no bit, since the
+    splitter's batch sums each output part from ``0.0`` with ``np.bincount``
+    (``test_bincount_adds_each_bin_in_input_order_from_zero``), so no part it
+    returns is ``-0.0``.  The index-0 terms add ``|amplitude|**2`` to a
+    running sum, as ``group_weights`` does.  The branch's terms (index 0 for
+    "symmetric", the rest for "asymmetric") are kept and normalized as
+    ``branch(0)`` is.
     """
     symmetric = branch == "symmetric"
     p_symmetric = 0.0
     kept = {}
     for occ, amp in _splitter(state.register).apply(state.normalized()).items():
-        amp = 0.0 + amp
         at_zero = sum(map(mul, KERR_WEIGHTS, occ)) + PROBE_GATE == 0
         if at_zero and not abs(amp) < PRUNE_THRESHOLD:
             p_symmetric += abs(amp) ** 2

@@ -9,12 +9,15 @@ norm are conserved to machine precision.
 The substitution rows are built once, at construction; they keep the
 matrix's numpy scalars, from which the expansion weights are computed, and
 each weight is stored as a Python ``complex`` (an exact conversion).  Each
-input mode's expansion at each occupancy is computed once.
+input mode's expansion at each occupancy is computed once per transform.
 
-Each input signature (a ket's occupations, in order) gets one batch, laid
-out once from those expansions as numpy arrays and run round by round,
-each round one step of every term, over ``(re, im)`` float rows.  A term
-divides its amplitude by its ``sqrt(m!)`` divisors, takes a round of
+A batch lays out one input signature (a ket's occupations, in order) for
+one structure (the register, the moved modes and where each row is
+nonzero) as numpy arrays, once per process; each transform of that
+structure runs it with a weight table of its own, so a rotation built for
+a new angle pays only its expansions and its table.  A batch runs round by
+round, each round one step of every term, over ``(re, im)`` float rows.  A
+term divides its amplitude by its ``sqrt(m!)`` divisors, takes a round of
 ``(dst, src, weight)`` multiply-adds per moved mode, then one round of
 ``sqrt(k!)`` scales; its outputs are numbered by their first appearance in
 the batch.  Each operation keeps the bits of the per-term Python
@@ -35,17 +38,19 @@ arithmetic it replaced:
   (libm's ``pow``, as ``m ** 2``; ``m * m`` differs in about 0.1% of cases).
 
 :func:`apply_circuit` hands each element's surviving amplitudes to the next
-as an array, finds the next batch by the previous one and its keep mask,
-and builds only its result as a ket (``apply`` is a circuit of one
-element).  With ``postselect`` it decides once per pattern and batch which
-outputs :meth:`FockKet.project` would keep, and gives that ``project``'s bits.
+as an array, finds the next batch by the previous one, the next element's
+structure and its keep mask, and builds only its result as a ket
+(``apply`` is a circuit of one element).  With ``postselect`` it decides
+once per pattern and batch which outputs :meth:`FockKet.project` would
+keep, and gives that ``project``'s bits.
 
-A transform may be shared for the life of a process (the symmetry detector
-keeps one splitter per register, the preparation pipeline its four
-splitters, the GHZ readout its six taps).  Expansions and batches depend
-only on the rows and the occupations, and each compiles once, under a
-lock, so a shared transform gives a fresh one's bits, from any thread; its
-memory grows with the distinct signatures it has seen, and no further.
+Batches, expansions and weight tables each compile once, under one lock,
+so a shared transform (the symmetry detector keeps one splitter per
+register, the preparation pipeline its four splitters, the GHZ readout its
+six taps) gives a fresh one's bits, from any thread.  The batches grow with
+the distinct structures and signatures the process has seen (a rotation
+has two structures: the identity at angle 0, and one for every other
+angle), a transform's tables with the batches it has run, and no further.
 
 Photon number is conserved, so the outputs of terms holding at most
 ``MAX_OCCUPANCY`` photons are valid by construction and the result is built
@@ -59,7 +64,6 @@ from __future__ import annotations
 
 import math
 import threading
-import weakref
 from array import array
 from itertools import repeat
 from typing import Iterable, Mapping
@@ -75,12 +79,17 @@ UNITARITY_TOLERANCE = 1e-12
 # row's output modes; an assignment lists (output mode, photons) pairs
 _Expansion = list[tuple[tuple[tuple[int, int], ...], complex]]
 
+# (structure, input signature) -> its batch, shared by every transform of that structure
+_LAYOUTS: dict[tuple, "_Batch"] = {}
+# held while a batch, an expansion or a weight table compiles, one thread at a time
+_COMPILING = threading.Lock()
+
 
 class ModeTransform:
     """Unitary substitution rule on the creation operators of a register."""
 
     __slots__ = (
-        "_register", "_matrix", "_rows", "_moved", "_expansions", "_compiling", "_batches", "__weakref__",
+        "_register", "_matrix", "_rows", "_moved", "_structure", "_expansions", "_tables", "__weakref__",
     )
 
     def __init__(self, register: ModeRegister, matrix: np.ndarray):
@@ -94,19 +103,21 @@ class ModeTransform:
         self._register = register
         self._matrix = matrix.copy()
         self._matrix.setflags(write=False)
-        # substitution rows: the nonzero (output mode, coefficient) pairs per input mode
-        self._rows = tuple(
-            tuple((int(j), self._matrix[i, j]) for j in np.flatnonzero(self._matrix[i]))
-            for i in range(n)
-        )
+        # substitution rows: the nonzero (output mode, coefficient) pairs per input mode,
+        # each coefficient the numpy scalar matrix[i, j]; flat positions run row by row
+        nonzero = np.flatnonzero(self._matrix)
+        rows: list[list] = [[] for _ in range(n)]
+        for k, r in zip(nonzero.tolist(), self._matrix.ravel()[nonzero]):
+            rows[k // n].append((k % n, r))
+        self._rows = tuple(map(tuple, rows))
         # input modes whose row is not exactly a_i^dag -> a_i^dag
         self._moved = tuple(i for i, row in enumerate(self._rows) if row != ((i, 1.0),))
-        # (input mode, occupancy) -> its multinomial expansion, filled as batches compile
+        # all a batch's layout depends on: the register, the moved modes and where rows are nonzero
+        self._structure = (register, self._moved, nonzero.tobytes())
+        # (input mode, occupancy) -> its multinomial expansion, filled as weight tables compile
         self._expansions: dict[tuple[int, int], _Expansion] = {}
-        # held while a batch and its expansions compile, one thread at a time
-        self._compiling = threading.Lock()
-        # input signature (the ordered input occupations) -> its batch
-        self._batches: dict[tuple[tuple[int, ...], ...], _Batch] = {}
+        # batch -> this transform's weight table for it
+        self._tables: dict[_Batch, np.ndarray] = {}
 
     @property
     def register(self) -> ModeRegister:
@@ -121,14 +132,35 @@ class ModeTransform:
         return apply_circuit(ket, (self,))
 
     def _batch(self, signature: tuple[tuple[int, ...], ...]) -> "_Batch":
-        """The batch of one input signature, compiled on first use under the lock."""
-        batch = self._batches.get(signature)
+        """The batch of one input signature for this structure, laid out on first use under the lock."""
+        key = (self._structure, signature)
+        batch = _LAYOUTS.get(key)
         if batch is None:
-            with self._compiling:
-                batch = self._batches.get(signature)
+            with _COMPILING:
+                batch = _LAYOUTS.get(key)
                 if batch is None:
-                    batch = self._batches[signature] = _Batch(self, signature)
+                    batch = _LAYOUTS[key] = _Batch(self, signature)
         return batch
+
+    def _table(self, batch: "_Batch") -> np.ndarray:
+        """This transform's weight rows ``(w.re, -w.im), (w.im, w.re)`` for a batch, gathered once under the lock."""
+        table = self._tables.get(batch)
+        if table is None:
+            with _COMPILING:
+                table = self._tables.get(batch)
+                if table is None:
+                    ws = np.array([
+                        key if type(key) is float else self._expansion_at(*key[:2])[key[2]][1] for key in batch._weights
+                    ], complex)
+                    table = self._tables[batch] = np.stack((ws.real, -ws.imag, ws.imag, ws.real), 1).reshape(-1, 2, 2)
+        return table
+
+    def _expansion_at(self, i: int, m: int) -> _Expansion:
+        """Input mode ``i``'s expansion at occupancy ``m``, computed once; the caller holds the lock."""
+        expansion = self._expansions.get((i, m))
+        if expansion is None:
+            expansion = self._expansions[(i, m)] = _expansion(self._rows[i], m)
+        return expansion
 
     def __repr__(self) -> str:
         return f"ModeTransform(on {self._register!r})"
@@ -148,7 +180,7 @@ def _pairs(slots: array) -> np.ndarray:
 
 
 class _Batch:
-    """One input signature's terms, laid out from their expansions as numpy arrays.
+    """One input signature's terms for one structure, laid out from its expansions' shapes as numpy arrays.
 
     Round ``r`` runs step ``r`` of every term that has one, reading the
     ``(re, im)`` rows of round ``r - 1`` (round 0 reads the inputs).  A
@@ -165,7 +197,6 @@ class _Batch:
         rounds: list[tuple[array, array, array]] = []  # per round: source rows, weight rows, slots
         sizes: list[int] = []
         weights, ranks = _Numbering(), _Numbering()
-        expansions = transform._expansions
 
         def emit(r: int, size: int, slots, sources, ws, rows) -> int:
             """Append one term's step ``r``, given as op columns; returns its first slot."""
@@ -206,19 +237,17 @@ class _Batch:
                 m = occ[i]
                 if m == 0:
                     continue
-                expansion = expansions.get((i, m))
-                if expansion is None:
-                    expansion = expansions[(i, m)] = _expansion(transform._rows[i], m)
+                expansion = transform._expansion_at(i, m)
                 # multiply every partial term by the mode's expansion; a key's
                 # slot is its first appearance, as in an insertion-ordered dict
                 slots: dict[tuple[int, ...], int] = {}
                 ops = []
                 for src, powers in enumerate(keys):
-                    for assignment, weight in expansion:
+                    for a, (assignment, _) in enumerate(expansion):
                         lifted = list(powers)
                         for j, k in assignment:
                             lifted[j] += k
-                        ops.append((slots.setdefault(tuple(lifted), len(slots)), src, weight))
+                        ops.append((slots.setdefault(tuple(lifted), len(slots)), src, (i, m, a)))
                 base = emit(r, len(slots), *zip(*ops), rows)
                 keys, rows, r = slots, range(base, base + len(slots)), r + 1
             rows = list(rows)
@@ -240,9 +269,11 @@ class _Batch:
             tail_row.extend(rows)
             tail_rank.extend(map(ranks.__getitem__, keys))
 
-        # keyed as numbers, a weight and one whose zero part has the other sign
-        # share a row: their products differ only in the sign of a zero
-        self._weights = np.array([[(w.real, -w.imag), (w.imag, w.real)] for w in weights]).reshape(-1, 2, 2)
+        # each weight row's key: (input mode, occupancy, assignment index) names an
+        # expansion weight by its position, which every transform of the structure
+        # shares, and each transform's table holds its own value there (numbered by
+        # value, rows would follow one transform's weights); a float is a sqrt(k!) scale
+        self._weights = tuple(weights)
         self._rounds = tuple(
             (
                 np.frombuffer(src, np.int64).repeat(2).reshape(-1, 2),
@@ -264,12 +295,11 @@ class _Batch:
         invalid = (max(occ) > MAX_OCCUPANCY for occ in self.outputs)
         self._invalid = np.fromiter(invalid, bool, len(self.outputs)) if over else None
         self._keeps: dict[tuple, np.ndarray] = {}  # selection key -> whether it keeps each output
-        # next element -> keep mask bytes -> its batch; weak, so that a batch
-        # that outlives a circuit does not keep the circuit's later elements alive
-        self._successors: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        # next element's structure -> keep mask bytes -> its batch
+        self._successors: dict[tuple, dict[bytes, _Batch]] = {}
 
-    def run(self, amplitudes: np.ndarray) -> np.ndarray:
-        """The output amplitudes, in rank order, of input amplitudes (an array this call may overwrite)."""
+    def run(self, amplitudes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """The output amplitudes, in rank order, of input amplitudes (an array this call may overwrite) and a table."""
         inputs = amplitudes.view(float).reshape(-1, 2)
         if len(self._divisors):
             x = inputs if self._divided is None else inputs[self._divided]
@@ -282,7 +312,7 @@ class _Batch:
         for src, index, dst, size in self._rounds:
             # each op's source row twice, times its weight rows (w.re, -w.im) and (w.im, w.re)
             q = values[-1].take(src, 0)
-            q *= self._weights.take(index, 0)
+            q *= weights.take(index, 0)
             q = np.add(q[..., 0], q[..., 1])
             values.append(q if dst is None else np.bincount(dst, q.ravel(), 2 * size).reshape(-1, 2))
         rows, dst = self._tail
@@ -303,9 +333,9 @@ class _Batch:
 
     def successor(self, element: ModeTransform, keep: np.ndarray) -> "_Batch":
         """``element``'s batch for the outputs ``keep`` marks."""
-        by_mask = self._successors.get(element)
+        by_mask = self._successors.get(element._structure)
         if by_mask is None:
-            by_mask = self._successors.setdefault(element, {})
+            by_mask = self._successors.setdefault(element._structure, {})
         batch = by_mask.get(mask := keep.tobytes())
         if batch is None:
             outputs = tuple(map(self.outputs.__getitem__, np.flatnonzero(keep).tolist()))
@@ -464,7 +494,7 @@ def apply_circuit(
                 keep = batch.survivors(register, amplitudes)[1]
                 batch = batch.successor(element, keep)
                 amplitudes = amplitudes[keep]
-            amplitudes = batch.run(amplitudes)
+            amplitudes = batch.run(amplitudes, element._table(batch))
         if batch is None:
             return ket if postselect is None else ket.project(postselect)
         if postselect is None:

@@ -17,6 +17,7 @@ import threading
 import time
 import weakref
 from collections import Counter
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -32,6 +33,7 @@ from focksim import (
     ModeTransform,
     apply_circuit,
     build_psi_theta,
+    elements,
     schemes,
 )
 from focksim.elements import _expansion, bs_5050, bs_unbalanced, polarization_rotation
@@ -96,6 +98,24 @@ def expansion_path_apply(transform: ModeTransform, ket: FockKet) -> FockKet:
     if checked:
         return FockKet(transform.register, out)
     return FockKet._from_valid(transform.register, out)
+
+
+@contextmanager
+def cold_layouts():
+    """An empty shared batch cache inside the block, and the process's own again after it."""
+    saved = elements._LAYOUTS
+    elements._LAYOUTS = {}
+    try:
+        yield
+    finally:
+        elements._LAYOUTS = saved
+
+
+@pytest.fixture
+def cold():
+    """Batches are shared by every transform of a structure, so a test that compiles cold empties the cache."""
+    with cold_layouts():
+        yield
 
 
 def bits(ket: FockKet) -> list[tuple[tuple[int, ...], str, bytes]]:
@@ -170,36 +190,44 @@ def transform_and_kets(draw):
 def test_replay_matches_the_expansion_path_cold_and_warm(case):
     make, ket, other = case
     expected = bits(expansion_path_apply(make(), ket))
-    transform = make()
-    assert bits(transform.apply(ket)) == expected  # compiles the ket's batch
-    assert bits(transform.apply(ket)) == expected  # runs the compiled batch
-    # warmed by another ket first: some expansions are found, others computed
-    shared = make()
-    assert bits(shared.apply(other)) == bits(expansion_path_apply(make(), other))
-    assert bits(shared.apply(ket)) == expected
+    with cold_layouts():
+        transform = make()
+        assert bits(transform.apply(ket)) == expected  # compiles the ket's batch
+        assert bits(transform.apply(ket)) == expected  # runs the compiled batch
+        # warmed by another ket first: some expansions are found, others computed
+        shared = make()
+        assert bits(shared.apply(other)) == bits(expansion_path_apply(make(), other))
+        assert bits(shared.apply(ket)) == expected
 
 
-def test_a_batch_is_compiled_once_per_signature():
+def test_a_batch_is_compiled_once_per_signature(cold):
     transform = bs_5050(TRIPLE, "a", "b")
     ket = FockKet(TRIPLE, {(1, 0, 1, 0, 0, 0): 0.6, (2, 0, 0, 0, 1, 0): 0.8})
     transform.apply(ket)
-    batches = dict(transform._batches)
-    assert list(batches) == [((1, 0, 1, 0, 0, 0), (2, 0, 0, 0, 1, 0))]
+    batches = dict(elements._LAYOUTS)
+    assert list(batches) == [(transform._structure, ((1, 0, 1, 0, 0, 0), (2, 0, 0, 0, 1, 0)))]
     expansions = dict(transform._expansions)
     transform.apply(FockKet(TRIPLE, {(1, 0, 1, 0, 0, 0): 1.0}))
     transform.apply(ket)
-    assert len(transform._batches) == 2
-    assert all(transform._batches[signature] is batch for signature, batch in batches.items())
+    assert len(elements._LAYOUTS) == 2
+    assert all(elements._LAYOUTS[key] is batch for key, batch in batches.items())
     # the second signature's terms reuse the expansions the first computed
     assert transform._expansions == expansions
     assert all(transform._expansions[key] is expansion for key, expansion in expansions.items())
+    # another transform of the structure runs the same batches, each with a weight table of its own
+    other = bs_5050(TRIPLE, "a", "b")
+    other.apply(ket)
+    assert len(elements._LAYOUTS) == 2
+    (batch,) = batches.values()
+    assert list(other._tables) == [batch]
+    assert other._tables[batch] is not transform._tables[batch]
 
 
 def test_a_batch_reuses_its_output_tuples():
     transform = bs_5050(TRIPLE, "a", "b")
     ket = FockKet(TRIPLE, {(2, 0, 0, 0, 0, 0): 1.0})
     first = transform.apply(ket)
-    outputs = transform._batches[((2, 0, 0, 0, 0, 0),)].outputs
+    outputs = transform._batch(((2, 0, 0, 0, 0, 0),)).outputs
     assert [occ for occ, _ in first.items()] == list(outputs)
     for result in (first, transform.apply(ket)):
         assert all(occ is powers for (occ, _), powers in zip(result.items(), outputs))
@@ -212,7 +240,7 @@ def test_a_batch_ranks_each_output_once_in_first_appearance_order(case):
     transform = make()
     transform.apply(ket)
     signature = tuple(occ for occ, _ in ket.items())
-    batch = transform._batches[signature]
+    batch = transform._batch(signature)
     per_term = [list(_expanded(transform, occ, 1.0, {})) for occ in signature]
     assert batch.outputs == tuple(dict.fromkeys(powers for outputs in per_term for powers in outputs))
     # the tail reads each term's outputs once each, wherever its last step left them
@@ -236,16 +264,16 @@ def test_a_round_sums_only_where_a_slot_is_written_twice():
     transform.apply(FockKet(TRIPLE, {(2, 0, 0, 0, 0, 0): 1.0}))
     transform.apply(FockKet(TRIPLE, {(1, 0, 1, 0, 0, 0): 1.0}))
     # (a + b)^2 / 2 writes three slots once each, then scales a^2 and b^2
-    (_, _, level, _), (_, _, scale, _) = transform._batches[((2, 0, 0, 0, 0, 0),)]._rounds
+    (_, _, level, _), (_, _, scale, _) = transform._batch(((2, 0, 0, 0, 0, 0),))._rounds
     assert level is None and scale is None
     # a (a + b) writes two slots once each; times (b - a) it writes a.b twice
-    (_, _, first, _), (_, _, last, size), _ = transform._batches[((1, 0, 1, 0, 0, 0),)]._rounds
+    (_, _, first, _), (_, _, last, size), _ = transform._batch(((1, 0, 1, 0, 0, 0),))._rounds
     assert first is None
     assert last is not None and size == 3
 
 
 @pytest.mark.parametrize("amp", [1.0, complex(0.6, -0.0), complex(-0.0, -0.8), complex(-0.6, 0.8)])
-def test_an_exact_cancellation_keeps_its_bits_cold_and_warm(amp):
+def test_an_exact_cancellation_keeps_its_bits_cold_and_warm(amp, cold):
     # (a + b)(b - a) / 2: the a.b coefficients cancel to an exact zero
     ket = FockKet(TRIPLE, {(1, 0, 1, 0, 0, 0): amp})
     expected = bits(expansion_path_apply(bs_5050(TRIPLE, "a", "b"), ket))
@@ -273,13 +301,13 @@ def test_terms_past_the_cap_take_the_checked_path(terms):
     assert bits(transform.apply(ket)) == expected
     # only a batch with a term past the cap checks its outputs, and it marks
     # exactly the outputs that pass it
-    batch = transform._batches[tuple(terms)]
+    batch = transform._batch(tuple(terms))
     assert batch._invalid is not None
     assert batch._invalid.tolist() == [max(occ) > MAX_OCCUPANCY for occ in batch.outputs]
 
 
 @pytest.mark.parametrize("occ", [(8, 0, 8, 0, 0, 0), (9, 0, 9, 0, 0, 0), (0, 8, 0, 8, 1, 0)])
-def test_output_past_the_cap_raises_cold_and_warm(occ):
+def test_output_past_the_cap_raises_cold_and_warm(occ, cold):
     ket = FockKet.basis(TRIPLE, occ)
     with pytest.raises(CapacityError):
         expansion_path_apply(bs_5050(TRIPLE, "a", "b"), ket)
@@ -290,13 +318,14 @@ def test_output_past_the_cap_raises_cold_and_warm(occ):
 
 
 @pytest.mark.parametrize("postselect", [None, {"c": 0}])
-def test_a_circuit_raises_at_the_element_whose_output_passes_the_cap(postselect):
+def test_a_circuit_raises_at_the_element_whose_output_passes_the_cap(postselect, cold):
     # the first splitter puts 16 photons into one mode; the second never runs
     ket = FockKet.basis(TRIPLE, (8, 0, 8, 0, 0, 0))
     first, second = bs_5050(TRIPLE, "a", "b"), bs_5050(TRIPLE, "a", "c")
     with pytest.raises(CapacityError):
         apply_circuit(ket, (first, second), postselect)
-    assert first._batches and not second._batches
+    assert [structure for structure, _ in elements._LAYOUTS] == [first._structure]
+    assert first._tables and not second._tables
     with pytest.raises(CapacityError):
         apply_circuit(ket, (first,), postselect)
 
@@ -487,7 +516,7 @@ class YieldingExpansions(dict):
 
 
 class YieldingBatches(dict):
-    """A batch table that lets other threads run for a while before it stores a batch, and counts stores."""
+    """A batch or weight table cache that lets other threads run for a while before it stores, and counts stores."""
 
     def __init__(self):
         super().__init__()
@@ -499,11 +528,11 @@ class YieldingBatches(dict):
         super().__setitem__(key, value)
 
 
-def race(parts) -> None:
+def race(parts, monkeypatch) -> None:
     """Two threads, each building ``psi_theta`` at its angles on the same cold splitters, give serial bits.
 
-    Each splitter compiles each expansion and each batch once, however the
-    threads interleave.
+    Each batch is laid out once, and each splitter computes each expansion
+    and gathers each weight table once, however the threads interleave.
     """
 
     def snapshot(theta: float) -> tuple:
@@ -514,10 +543,12 @@ def race(parts) -> None:
     serial = {theta: snapshot(theta) for part in parts for theta in part}
     schemes._preparation.cache_clear()
     _, splitters = schemes._preparation()  # both threads share these, cold
-    assert not any(splitter._batches for splitter in splitters)
+    assert not any(splitter._tables for splitter in splitters)
+    layouts = YieldingBatches()
+    monkeypatch.setattr(elements, "_LAYOUTS", layouts)  # and no batch is laid out
     for splitter in splitters:
         splitter._expansions = YieldingExpansions()
-        splitter._batches = YieldingBatches()
+        splitter._tables = YieldingBatches()
     threaded = {}
     start = threading.Barrier(2)
 
@@ -539,18 +570,17 @@ def race(parts) -> None:
         schemes._preparation.cache_clear()  # later tests get splitters with plain tables
     assert not any(worker.is_alive() for worker in workers)
     assert threaded == serial
-    for splitter in splitters:
-        for table in (splitter._expansions, splitter._batches):
-            assert table.stores and set(table.stores.values()) == {1}
+    for table in (layouts, *(t for splitter in splitters for t in (splitter._expansions, splitter._tables))):
+        assert table.stores and set(table.stores.values()) == {1}
 
 
-def test_shared_preparation_gives_serial_bits_under_threads():
+def test_shared_preparation_gives_serial_bits_under_threads(monkeypatch):
     # the first angles differ in which terms the rotation keeps, so the two
     # threads start by compiling different occupations into the same splitters
-    race(((0.0, 0.3, 1.1, 2.0), (math.pi / 2, 0.7, 2.5, 3.0)))
+    race(((0.0, 0.3, 1.1, 2.0), (math.pi / 2, 0.7, 2.5, 3.0)), monkeypatch)
 
 
-def test_threads_compiling_the_same_signature_cold_give_serial_bits():
+def test_threads_compiling_the_same_signature_cold_give_serial_bits(monkeypatch):
     # both threads start at the same angle, so they reach every splitter with
     # the same input signature, cold, at once
-    race(((0.3, 1.1, 0.0), (0.3, 0.0, 1.1)))
+    race(((0.3, 1.1, 0.0), (0.3, 0.0, 1.1)), monkeypatch)

@@ -247,3 +247,21 @@ def test_forced_detection_matches_the_old_tagged_path(pair, probe, branch):
     assert outcome.branch == branch
     assert ket_bits(outcome.state) == ket_bits(old_state)
     assert outcome.probability.hex() == old_probability.hex()
+
+
+@pytest.mark.parametrize("branch", ["symmetric", "asymmetric"])
+@pytest.mark.parametrize("part", ["real", "imaginary"])
+@pytest.mark.parametrize("pair", [(0.6, 0.3), (-0.3, 0.9), (1.0, 0.0)], ids=["m0=0.6-n0=0.3", "m0=-0.3-n0=0.9",
+                                                                         "m0=1-n0=0"])
+def test_forced_detection_of_negative_zero_parts_matches_the_old_tagged_path(pair, part, branch):
+    # each amplitude as one part and a -0.0 for the other
+    state = twin_beam_state(CoefficientPair(*pair).normalized())
+    signed = (lambda a: complex(a, -0.0)) if part == "real" else (lambda a: complex(-0.0, a))
+    state = FockKet(state.register, {occ: signed(amp.real) for occ, amp in state.items()})
+    # some of them reach the splitter, normalized, still -0.0
+    parts = [x for _, amp in state.normalized().items() for x in (amp.real, amp.imag)]
+    assert any(x == 0.0 and math.copysign(1.0, x) < 0.0 for x in parts)
+    old_state, old_probability = old_forced(state, 1000.0, 0.1, branch)
+    outcome = detect(state, 1000.0, 0.1, force=branch)
+    assert ket_bits(outcome.state) == ket_bits(old_state)
+    assert outcome.probability.hex() == old_probability.hex()

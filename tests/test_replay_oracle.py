@@ -160,7 +160,7 @@ def outcome(elements, run) -> tuple:
         result = run()
     except CapacityError as exc:
         # elements after the one that raised never ran; an empty input cannot raise
-        compiled = [i for i, e in enumerate(elements) if e in TABLES or e._batches]
+        compiled = [i for i, e in enumerate(elements) if e in TABLES or e._tables]
         return "CapacityError", str(exc), max(compiled)
     if isinstance(result, FockKet):
         return "ket", hexed(result)

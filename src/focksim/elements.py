@@ -46,11 +46,11 @@ keep, and gives that ``project``'s bits.
 
 Batches, expansions and weight tables each compile once, under one lock,
 so a shared transform (the symmetry detector keeps one splitter per
-register, the preparation pipeline its four splitters, the GHZ readout its
-six taps) gives a fresh one's bits, from any thread.  The batches grow with
-the distinct structures and signatures the process has seen (a rotation
-has two structures: the identity at angle 0, and one for every other
-angle), a transform's tables with the batches it has run, and no further.
+register, the preparation pipeline its four splitters) gives a fresh one's
+bits, from any thread.  The batches grow with the distinct structures and
+signatures the process has seen (a rotation has two structures: the
+identity at angle 0, and one for every other angle), a transform's tables
+with the batches it has run, and no further.
 
 Photon number is conserved, so the outputs of terms holding at most
 ``MAX_OCCUPANCY`` photons are valid by construction and the result is built

@@ -3,10 +3,10 @@
 The preparation pipeline rotates one arm of the six-photon twin-beam
 state, splits each arm into three spatial modes with an unbalanced and a
 balanced beam splitter, and post-selects on exactly one photon per output
-mode.  The extraction circuit taps the horizontal path of every output
-mode into a shared coherent probe with weighted cross-Kerr cells, reads
-the probe with X homodyne, and repairs the surviving branch with up to two
-polarization flips plus a measurement-dependent phase.
+mode.  The extraction circuit couples the horizontal photon of every
+output mode to a shared coherent probe with weighted cross-Kerr cells,
+reads the probe with X homodyne, and repairs the surviving branch with up
+to two polarization flips plus a measurement-dependent phase.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
-from .elements import ModeTransform, apply_circuit, bs_unbalanced, pbs, polarization_rotation
+from .elements import ModeTransform, apply_circuit, bs_unbalanced, polarization_rotation
 from .fock import FockKet, ModeRegister, _Selection
 from .kerr import (
+    ProbeTaggedState,
     _conditioned_terms,
     _draw_homodyne,
     _turned,
@@ -36,10 +37,11 @@ scheme_register = ModeRegister.polarized(*SCHEME_SPATIALS)
 _ONE_PHOTON_PER_MODE = {spatial: 1 for spatial in SCHEME_SPATIALS}
 _C1_H = (scheme_register.index("c1", "H"),)  # the mode whose phase the GHZ repair turns
 
-# Kerr cell strengths on the tapped horizontal paths, in base-phase units,
+# Kerr cell strengths on the horizontal modes, in base-phase units,
 # ordered as SCHEME_SPATIALS; the probe gate then rewinds 12 base units.
 GHZ_KERR_THETA_WEIGHTS = (1, 2, 3, 3, 6, 9)
 GHZ_PROBE_GATE = -24  # half-theta units
+_KERR_WEIGHTS = tuple(x for w in GHZ_KERR_THETA_WEIGHTS for x in (2 * w, 0))  # per scheme_register mode (H, V)
 
 _SPLITTER_SPATIALS = ("c0", "c1", "c2", "c3", "d0", "d1", "d2", "d3")
 
@@ -288,63 +290,41 @@ def decode_table(alpha: float, theta: float) -> GhzDecodeTable:
 
 # -- the extraction circuit ----------------------------------------------
 
-_PATH_SPATIALS = ("p1", "p2", "p3", "p4", "p5", "p6")
 
+def tagged_circuit_state(state: FockKet, alpha: float, theta: float) -> ProbeTaggedState:
+    """Probe-tagged state after the Kerr cells and the probe gate, on ``scheme_register``.
 
-@cache
-def _taps(register: ModeRegister) -> tuple[ModeTransform, ...]:
-    """The polarizing taps of the scheme modes into their paths, built once per register."""
-    pairs = zip(SCHEME_SPATIALS, _PATH_SPATIALS)
-    return tuple(pbs(register, spatial, path, spatial) for spatial, path in pairs)
-
-
-def tagged_circuit_state(state: FockKet, alpha: float, theta: float):
-    """Probe-tagged state after the polarizing taps and Kerr cells.
-
-    Returns the tagged state on the path-extended register together with
-    the polarizing-splitter elements needed to undo the taps after the
-    probe is measured.
+    Each mode's H photon advances the probe by its ``GHZ_KERR_THETA_WEIGHTS``
+    entry in base units.  The circuit's polarizing splitters, which route
+    each H photon to a tap path and back, only relabel basis states and are
+    not simulated.  Finite amplitudes keep their bits; an infinite part
+    stays infinite (the taps' ``x * 0.0`` made it NaN).
     """
     if state.register != scheme_register:
         raise ValueError("circuit expects a ket on the six-mode scheme register")
     selection = _Selection(scheme_register, _ONE_PHOTON_PER_MODE)
     if not all(selection.keeps(occ) for occ, _ in state.items()):
         raise ValueError("circuit input needs exactly one photon per spatial mode")
-    extended = state.extended((p, "H") for p in _PATH_SPATIALS)
-    register = extended.register
-    splitters = _taps(register)
-    extended = apply_circuit(extended, splitters)
-    weights = [0] * len(register)
-    for path, w in zip(_PATH_SPATIALS, GHZ_KERR_THETA_WEIGHTS):
-        weights[register.index(path, "H")] = 2 * w
-    tagged = attach_probe(extended, alpha, theta)
-    tagged = apply_cross_kerr(tagged, weights)
-    return apply_probe_phase(tagged, GHZ_PROBE_GATE), splitters
+    tagged = apply_cross_kerr(attach_probe(state, alpha, theta), _KERR_WEIGHTS)
+    return apply_probe_phase(tagged, GHZ_PROBE_GATE)
 
 
 class GhzReadout:
     """The extraction circuit for one prepared state, tagged and compiled once.
 
     A tracer ket carries every tagged occupation, with its position (from
-    1) as amplitude, through the tap-undoing splitters and the restriction
-    to the scheme modes.  A relabelling keeps every amplitude exactly, which
-    is checked, so each traced amplitude names the occupation it started
-    from.  Construction builds one map per interval, which adds that
-    interval's spin flips.  An outcome then takes one pass from its
-    conditioned terms to the corrected ket, the one ket it builds.
+    1) as amplitude, through each interval's spin flips: one relabel map
+    per interval.  An outcome then takes one pass from its conditioned
+    terms to the corrected ket, the one ket it builds.
     """
 
     def __init__(self, state: FockKet, alpha: float, theta: float):
         self.table = decode_table(alpha, theta)
-        self._tagged, splitters = tagged_circuit_state(state, alpha, theta)
+        self._tagged = tagged_circuit_state(state, alpha, theta)
         sources = list(dict.fromkeys(occ for (occ, _), _ in self._tagged.items()))
-        tags = {occ: tag for tag, occ in enumerate(sources, start=1)}
-        tracer = apply_circuit(FockKet(splitters[0].register, tags), splitters)
-        undone = tracer.restricted(SCHEME_SPATIALS)
-        if [tag for _, tag in undone.items()] != list(range(1, len(sources) + 1)):
-            raise ValueError("undoing the taps is not a relabelling of basis states")
+        tracer = FockKet(scheme_register, {occ: tag for tag, occ in enumerate(sources, start=1)})
         self._maps = [
-            {sources[int(tag.real) - 1]: occ for occ, tag in spin_flip(undone, interval.flips).items()}
+            {sources[int(tag.real) - 1]: occ for occ, tag in spin_flip(tracer, interval.flips).items()}
             for interval in self.table.intervals
         ]
 
@@ -394,7 +374,7 @@ def ghz_circuit(
 
     Measures the shared probe at quadrature ``x`` (or samples one outcome
     from ``rng``), decodes the surviving branch from the interval table,
-    undoes the taps, and applies the branch's spin flips and phase repair.
+    and applies the branch's spin flips and phase repair.
     Returns the corrected state and the interval index; the state is
     ``None`` when the requested ``x`` has no support.
     """
@@ -407,7 +387,7 @@ def ghz_circuit(
 def sample_ghz_circuit(
     state: FockKet, alpha: float, theta: float, rng, samples: int
 ) -> list[tuple[FockKet, int, float]]:
-    """Draw repeated homodyne outcomes from one tapped state.
+    """Draw repeated homodyne outcomes from one tagged state.
 
     Returns ``(corrected state, interval index, x)`` per draw; the readout
     is compiled once, so a draw is one pass from outcome to corrected ket,
@@ -419,5 +399,5 @@ def sample_ghz_circuit(
 
 
 def interval_probabilities(state: FockKet, alpha: float, theta: float) -> tuple[float, ...]:
-    """Exact probability of each homodyne interval for the tapped state."""
+    """Exact probability of each homodyne interval for the tagged state."""
     return GhzReadout(state, alpha, theta).probabilities()

@@ -199,7 +199,7 @@ def test_criterion_5_prepared_state_structure():
 def test_criterion_6_ghz_branches_and_decoding():
     with criterion(6, "branch census, ten-interval repair, sampled frequencies"):
         state = build_psi_theta(math.pi / 2.0).state
-        tagged, _ = tagged_circuit_state(state, ALPHA, THETA)
+        tagged = tagged_circuit_state(state, ALPHA, THETA)
         branches = list(tagged.items())
         assert len(branches) == 20
         indices = sorted(idx for (_, idx), _ in branches)

@@ -362,6 +362,28 @@ def test_simulation_output_bytes_are_pinned(out_dir, args):
     assert digest.hexdigest() == SIMULATION_DIGESTS[args]
 
 
+# every pinned config run in one interpreter, which then prints how many batch layouts it holds
+_RUN_PINS = """
+import ast, sys
+from focksim import cli, elements
+for args in ast.literal_eval(sys.argv[1]):
+    if cli.main(["run", *args]) != 0:
+        sys.exit(f"{' '.join(args)}: exit status not 0")
+print(len(elements._LAYOUTS))
+"""
+
+
+def test_pinned_configs_hold_at_most_18_layouts(tmp_path):
+    # the preparation and the detector readout lay out batches; the GHZ readout lays out none
+    pins = [*SIMULATION_DIGESTS, *(("ghz-circuit", *args) for args in GHZ_DIGESTS), ("homodyne-sweep", *SWEEP_ARGS)]
+    assert len(pins) == 17
+    env = dict(os.environ, PYTHONPATH=str(SRC), FOCKSIM_OUT_DIR=str(tmp_path))
+    done = subprocess.run([sys.executable, "-c", _RUN_PINS, repr(pins)], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout.split()[-1]) <= 18
+
+
 def outcome(args: tuple, out_dir, capsys) -> tuple:
     """Exit code, printed bytes and output-file bytes of one in-process call.
 

@@ -396,23 +396,19 @@ def test_psi_theta_builds_its_splitters_once(monkeypatch):
     assert built == [PIPE] * 8
 
 
-def test_ghz_readouts_build_their_taps_once(monkeypatch):
+def test_ghz_readouts_build_no_transform_and_lay_out_no_batch(monkeypatch):
     state = build_psi_theta(math.pi / 2).state
-    schemes._taps.cache_clear()
-    built = []
-    init = ModeTransform.__init__
 
-    def counting_init(self, register, matrix):
-        built.append(len(register))
-        init(self, register, matrix)
+    def refuse(self, *args):
+        raise AssertionError(f"a GHZ readout built a {type(self).__name__}")
 
-    monkeypatch.setattr(ModeTransform, "__init__", counting_init)
-    GhzReadout(state, 20.0, 0.2)
-    taps = list(built)
-    GhzReadout(state, 40.0, 0.1)
-    # six taps on the path-extended register, then none
-    assert taps.count(len(state.register) + 6) == 6
-    assert built[len(taps):].count(len(state.register) + 6) == 0
+    monkeypatch.setattr(ModeTransform, "__init__", refuse)
+    monkeypatch.setattr(elements._Batch, "__init__", refuse)
+    for alpha, theta in ((20.0, 0.2), (40.0, 0.1)):
+        readout = GhzReadout(state, alpha, theta)
+        readout.condition(readout.table.peak_center(readout.table.intervals[3]))
+        readout.sample(schemes.make_rng(7))
+        readout.probabilities()
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3, 1.1, math.pi / 2])

@@ -107,7 +107,7 @@ def readout_cases(draw):
 @given(case=readout_cases())
 def test_readout_matches_the_fock_expansion_of_the_probe(case):
     state, alpha, theta, near, offset = case
-    tagged, _ = tagged_circuit_state(state, alpha, theta)
+    tagged = tagged_circuit_state(state, alpha, theta)
     oracle = Oracle(tagged)
     # an outcome within three standard deviations of one branch's peak
     x = 2.0 * alpha * math.cos(oracle.branches[near][2]) + offset

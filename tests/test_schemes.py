@@ -22,11 +22,12 @@ from focksim import (
     tagged_circuit_state,
     w_pair_state,
 )
-from focksim.elements import apply_circuit, polarization_rotation
+from focksim.elements import apply_circuit, pbs, polarization_rotation
 from focksim.fock import PRUNE_THRESHOLD
-from focksim.kerr import homodyne_condition, sample_homodyne
+from focksim.kerr import apply_cross_kerr, apply_probe_phase, attach_probe, homodyne_condition, sample_homodyne
 from focksim.schemes import (
     GHZ_KERR_THETA_WEIGHTS,
+    GHZ_PROBE_GATE,
     SCHEME_SPATIALS,
     DecodeInterval,
     GhzDecodeTable,
@@ -225,14 +226,12 @@ class TestDecodeTable:
 class TestCircuitBranches:
     def test_census_of_branches(self):
         state = build_psi_theta(HALF_PI).state
-        tagged, _ = tagged_circuit_state(state, ALPHA, THETA)
-        register = tagged.register
-        paths = ("p1", "p2", "p3", "p4", "p5", "p6")
+        tagged = tagged_circuit_state(state, ALPHA, THETA)
         branches = {}
         for (occ, idx), amp in tagged.items():
             pattern = "".join(
-                "H" if occ[register.index(path, "H")] else "V"
-                for path in paths
+                "H" if occ[scheme_register.index(spatial, "H")] else "V"
+                for spatial in SCHEME_SPATIALS
             )
             branches[pattern] = (idx, amp)
         assert len(branches) == 20
@@ -243,14 +242,6 @@ class TestCircuitBranches:
                 assert idx == expected_idx
                 assert amp.real == pytest.approx(magnitude, abs=1e-12)
                 assert amp.imag == 0.0
-
-    def test_horizontal_taps_carry_the_photons(self):
-        # after the splitters every horizontal photon sits on its tap path
-        state = build_psi_theta(HALF_PI).state
-        tagged, _ = tagged_circuit_state(state, ALPHA, THETA)
-        for (occ, _), _amp in tagged.items():
-            for spatial in ("c1", "c2", "c3", "d1", "d2", "d3"):
-                assert occ[tagged.register.index(spatial, "H")] == 0
 
 
 class TestGhzCircuit:
@@ -366,6 +357,85 @@ class TestGhzCircuit:
             ghz_circuit(bad, ALPHA, THETA, x=0.0)
 
 
+# -- the extraction circuit as built from real elements -----------------
+
+# probe settings for the readout checks below: the default one, and a weak
+# probe whose peaks sit close enough that nearly every interval edge lies
+# within 9 of a peak
+PROPERTY_PROBES = ((ALPHA, THETA), (20.0, 0.2))
+
+PATH_SPATIALS = ("p1", "p2", "p3", "p4", "p5", "p6")
+
+
+def literal_circuit(state, alpha, theta):
+    """The tagged state on the path-extended register, and the six polarizing taps.
+
+    Each tap routes a scheme mode's H photon onto its path, the Kerr cells
+    sit on the path H modes, and the probe gate follows.  Applying the taps
+    again undoes them.
+    """
+    extended = state.extended((path, "H") for path in PATH_SPATIALS)
+    register = extended.register
+    taps = tuple(pbs(register, spatial, path, spatial) for spatial, path in zip(SCHEME_SPATIALS, PATH_SPATIALS))
+    extended = apply_circuit(extended, taps)
+    weights = [0] * len(register)
+    for path, w in zip(PATH_SPATIALS, GHZ_KERR_THETA_WEIGHTS):
+        weights[register.index(path, "H")] = 2 * w
+    tagged = apply_cross_kerr(attach_probe(extended, alpha, theta), weights)
+    return apply_probe_phase(tagged, GHZ_PROBE_GATE), taps
+
+
+def literal_maps(tagged, taps, table):
+    """The readout's maps as traced through the taps, keyed by the occupations the taps restore."""
+    sources = list(dict.fromkeys(occ for (occ, _), _ in tagged.items()))
+    tracer = apply_circuit(FockKet(taps[0].register, {occ: tag for tag, occ in enumerate(sources, start=1)}), taps)
+    undone = tracer.restricted(SCHEME_SPATIALS)
+    # undoing the taps relabels basis states: every tag survives, in order
+    assert [tag for _, tag in undone.items()] == list(range(1, len(sources) + 1))
+    restored = [occ for occ, _ in undone.items()]
+    return [
+        {restored[int(tag.real) - 1]: occ for occ, tag in spin_flip(undone, interval.flips).items()}
+        for interval in table.intervals
+    ]
+
+
+@st.composite
+def one_photon_per_mode_kets(draw):
+    """Kets over some of the 64 one-photon-per-mode patterns, with finite parts and signed zeros."""
+    patterns = draw(st.lists(st.text("HV", min_size=6, max_size=6), min_size=1, max_size=12, unique=True))
+    part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e100, 1e100))
+    terms = {pattern_occupation(p): complex(draw(part), draw(part)) for p in patterns}
+    return FockKet(scheme_register, terms)
+
+
+@settings(deadline=None, max_examples=60)
+@given(state=one_photon_per_mode_kets(), probe=st.sampled_from(PROPERTY_PROBES))
+@example(state=build_psi_theta(HALF_PI).state, probe=(ALPHA, THETA))
+def test_direct_tagging_is_the_literal_circuit(state, probe):
+    tagged = tagged_circuit_state(state, *probe)
+    literal, taps = literal_circuit(state, *probe)
+    assert tagged.register == scheme_register
+    assert (tagged.alpha, tagged.theta) == (literal.alpha, literal.theta)
+    # the signal terms with the taps undone by the real elements, in order, bit for bit
+    undone = apply_circuit(FockKet(literal.register, {occ: amp for (occ, _), amp in literal.items()}), taps)
+    undone = undone.restricted(SCHEME_SPATIALS)
+    assert [(occ, idx, amp.real.hex(), amp.imag.hex()) for (occ, idx), amp in tagged.items()] == [
+        (occ, idx, amp.real.hex(), amp.imag.hex())
+        for (occ, amp), ((_, idx), _) in zip(undone.items(), literal.items(), strict=True)
+    ]
+    readout = GhzReadout(state, *probe)
+    assert readout._maps == literal_maps(literal, taps, readout.table)
+
+
+def test_an_infinite_part_stays_infinite():
+    # the taps' batch multiplies by 1 + 0j, and inf * 0.0 is NaN; the direct tagging only adds 0.0
+    state = FockKet(scheme_register, {pattern_occupation("HVHVHV"): complex(math.inf, 1.0)})
+    [(_, amp)] = tagged_circuit_state(state, ALPHA, THETA).items()
+    assert (amp.real, amp.imag) == (math.inf, 1.0)
+    [(_, amp)] = literal_circuit(state, ALPHA, THETA)[0].items()
+    assert math.isnan(amp.real) and math.isnan(amp.imag)
+
+
 def per_draw_readout(conditioned, x, table, splitters):
     """The per-draw readout the compiled maps replace, written out step by step."""
     for splitter in splitters:
@@ -393,18 +463,12 @@ def bits(ket: FockKet) -> list:
     return [(occ, amp.real.hex(), amp.imag.hex()) for occ, amp in ket.items()]
 
 
-# probe settings for the readout checks below: the default one, and a weak
-# probe whose peaks sit close enough that nearly every interval edge lies
-# within 9 of a peak
-PROPERTY_PROBES = ((ALPHA, THETA), (20.0, 0.2))
-
-
 class TestCompiledReadout:
     def test_sampled_draws_match_per_draw_readout(self):
         state = build_psi_theta(HALF_PI).state
         for probe in PROPERTY_PROBES:
             table = decode_table(*probe)
-            tagged, splitters = tagged_circuit_state(state, *probe)
+            tagged, splitters = literal_circuit(state, *probe)
             compiled = sample_ghz_circuit(state, *probe, make_rng(2024), 1000)
             rng = make_rng(2024)
             for corrected, interval, x in compiled:
@@ -417,7 +481,7 @@ class TestCompiledReadout:
     def test_exact_outcomes_match_per_draw_readout(self):
         state = build_psi_theta(HALF_PI).state
         table = decode_table(ALPHA, THETA)
-        tagged, splitters = tagged_circuit_state(state, ALPHA, THETA)
+        tagged, splitters = literal_circuit(state, ALPHA, THETA)
         for interval in table.intervals:
             for shift in (0.0, 0.8, -1.3):
                 x = table.peak_center(interval) + shift
@@ -446,7 +510,7 @@ def _outcomes_near_peaks(alpha, theta):
 def readouts():
     state = build_psi_theta(HALF_PI).state
     return {
-        probe: (GhzReadout(state, *probe), *tagged_circuit_state(state, *probe))
+        probe: (GhzReadout(state, *probe), *literal_circuit(state, *probe))
         for probe in PROPERTY_PROBES
     }
 

@@ -127,9 +127,10 @@ def resolve_config(source: str, overrides: list[str]) -> dict[str, str]:
         raise ConfigError(f"config file {source!r} not found")
     for item in overrides:
         key, eq, value = item.partition("=")
+        key, value = key.strip(), value.strip()
         if not eq or not key or not value:
             raise ConfigError(f"override {item!r} is not of the form key=value")
-        values[key.strip()] = value.strip()
+        values[key] = value
     return values
 
 
@@ -446,26 +447,23 @@ def _experiment_for(values: dict[str, str]) -> Experiment:
     return EXPERIMENTS[name]
 
 
+def _rendered(value) -> str:
+    """A CSV cell or ``.meta`` value: a float (or numpy float) in 17 significant digits, anything else by ``str``."""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
 def _write_outputs(experiment: Experiment, typed: dict, rows: list[tuple]) -> Path:
     columns = experiment.columns
-    if experiment.name == "pdc-weights":
-        columns = "k,a3,a21,a111" if "k" in typed else "n,amplitude,probability"
+    if experiment.name == "pdc-weights":  # its columns name the tau header, then the k header
+        columns = columns.split(" | ")["k" in typed]
     recorded = {"output": f"{experiment.name}.csv", **typed}  # the .meta records the default name too
     path = Path(recorded["output"])
     out_dir = os.environ.get("FOCKSIM_OUT_DIR")
     if out_dir and not path.is_absolute():
         path = Path(out_dir) / path
-    lines = [columns]
-    # an int cell prints as an int; any other cell (a float or numpy float) in 17 significant digits
-    lines += [",".join([str(c) if type(c) is int else format(c, ".17g") for c in row]) for row in rows]
-    meta_lines = [
-        f"artifact_version = {__version__}",
-        f"experiment = {experiment.name}",
-    ]
-    for key in sorted(recorded):
-        value = recorded[key]
-        rendered = format(value, ".17g") if isinstance(value, float) else str(value)
-        meta_lines.append(f"{key} = {rendered}")
+    lines = [columns] + [",".join(map(_rendered, row)) for row in rows]
+    meta_lines = [f"artifact_version = {__version__}", f"experiment = {experiment.name}"]
+    meta_lines += [f"{key} = {_rendered(recorded[key])}" for key in sorted(recorded)]
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("\n".join(lines) + "\n")

@@ -333,9 +333,7 @@ class _Batch:
 
     def successor(self, element: ModeTransform, keep: np.ndarray) -> "_Batch":
         """``element``'s batch for the outputs ``keep`` marks."""
-        by_mask = self._successors.get(element._structure)
-        if by_mask is None:
-            by_mask = self._successors.setdefault(element._structure, {})
+        by_mask = self._successors.setdefault(element._structure, {})
         batch = by_mask.get(mask := keep.tobytes())
         if batch is None:
             outputs = tuple(map(self.outputs.__getitem__, np.flatnonzero(keep).tolist()))

@@ -174,18 +174,19 @@ def psi_theta_reference(theta: float) -> FockKet:
     return FockKet._from_valid(scheme_register, {key: complex(amp) for key, amp in terms.items()}).normalized()
 
 
+def _swapped_order(register: ModeRegister, spatials) -> list[int]:
+    """The register's mode order with the H and V modes of the named spatial modes exchanged."""
+    order = list(range(len(register)))
+    for h, v in [(register.index(s, "H"), register.index(s, "V")) for s in set(spatials)]:
+        order[h], order[v] = v, h
+    return order
+
+
 def spin_flip(state: FockKet, spatials) -> FockKet:
     """Swap the H and V occupations of the named spatial modes."""
-    pairs = [
-        (state.register.index(s, "H"), state.register.index(s, "V")) for s in set(spatials)
-    ]
+    order = _swapped_order(state.register, spatials)
     # swaps are one-to-one, so no two terms meet; ``0.0 +`` still clears a negative zero's sign
-    out: dict[tuple[int, ...], complex] = {}
-    for occ, amp in state.items():
-        flipped = list(occ)
-        for h, v in pairs:
-            flipped[h], flipped[v] = flipped[v], flipped[h]
-        out[tuple(flipped)] = 0.0 + amp
+    out = {tuple(map(occ.__getitem__, order)): 0.0 + amp for occ, amp in state.items()}
     return FockKet._from_valid(state.register, out)
 
 
@@ -312,21 +313,18 @@ def tagged_circuit_state(state: FockKet, alpha: float, theta: float) -> ProbeTag
 class GhzReadout:
     """The extraction circuit for one prepared state, tagged and compiled once.
 
-    A tracer ket carries every tagged occupation, with its position (from
-    1) as amplitude, through each interval's spin flips: one relabel map
-    per interval.  An outcome then takes one pass from its conditioned
-    terms to the corrected ket, the one ket it builds.
+    Each interval's spin flips become one relabel map, from every tagged
+    occupation to that occupation in the swapped mode order ``spin_flip``
+    uses.  An outcome then takes one pass from its conditioned terms to
+    the corrected ket, the one ket it builds.
     """
 
     def __init__(self, state: FockKet, alpha: float, theta: float):
         self.table = decode_table(alpha, theta)
         self._tagged = tagged_circuit_state(state, alpha, theta)
         sources = list(dict.fromkeys(occ for (occ, _), _ in self._tagged.items()))
-        tracer = FockKet(scheme_register, {occ: tag for tag, occ in enumerate(sources, start=1)})
-        self._maps = [
-            {sources[int(tag.real) - 1]: occ for occ, tag in spin_flip(tracer, interval.flips).items()}
-            for interval in self.table.intervals
-        ]
+        orders = [_swapped_order(scheme_register, interval.flips) for interval in self.table.intervals]
+        self._maps = [{occ: tuple(map(occ.__getitem__, order)) for occ in sources} for order in orders]
 
     def _repair(self, terms: dict[tuple[int, ...], complex], x: float) -> tuple[FockKet, int]:
         """The corrected ket of conditioned terms, each relabelled, phased and pruned in one pass."""

@@ -13,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -257,8 +258,11 @@ class TestErrorPaths:
         assert run_cli("run", "/does/not/exist.cfg") == 2
         assert "not found" in capsys.readouterr().err
 
-    def test_bad_override_shape(self, capsys):
-        assert run_cli("run", "cascade", "m0") == 2
+    # a blank key or value was checked before stripping: " =5" was refused as
+    # unknown parameter '', and "output= " tried to write to the directory '.'
+    @pytest.mark.parametrize("override", ["m0", " =5", "output= "])
+    def test_bad_override_shape(self, capsys, override):
+        assert run_cli("run", "cascade", override) == 2
         assert "key=value" in capsys.readouterr().err
 
     def test_wrong_type_named(self, capsys):
@@ -779,6 +783,27 @@ def test_output_whose_meta_cannot_be_written_leaves_no_csv(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: parameter 'output' cannot be written: ") and "x.csv.meta" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv.meta"]
+
+
+# every CSV cell and .meta value is rendered by one rule: an int reads back
+# as itself, and a float (or numpy float) as the same double, signed zeros,
+# infinities and subnormals included
+@settings(deadline=None)
+@given(value=st.one_of(st.integers(), st.floats(), st.floats().map(np.float64)))
+@example(value=-0.0)
+@example(value=np.float64(-0.0))
+@example(value=-math.inf)
+@example(value=math.nan)
+@example(value=5e-324)
+@example(value=np.float64(-2.225073858507201e-308))
+def test_a_rendered_value_reads_back_losslessly(value):
+    cell = cli._rendered(value)
+    if type(value) is int:
+        assert int(cell) == value
+    elif math.isnan(value):
+        assert math.isnan(float(cell))
+    else:
+        assert float(cell).hex() == float(value).hex()
 
 
 class Drawn(Exception):

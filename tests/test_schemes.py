@@ -427,6 +427,30 @@ def test_direct_tagging_is_the_literal_circuit(state, probe):
     assert readout._maps == literal_maps(literal, taps, readout.table)
 
 
+def swapped_by_label(occ, flips):
+    """``occ`` with the H and V photons of each spatial mode in ``flips`` exchanged, read mode label by label."""
+    other = {"H": "V", "V": "H"}
+    return tuple(
+        occ[scheme_register.index(spatial, other[pol] if spatial in flips else pol)]
+        for spatial, pol in scheme_register.modes
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(state=one_photon_per_mode_kets(), probe=st.sampled_from(PROPERTY_PROBES))
+@example(state=build_psi_theta(HALF_PI).state, probe=(ALPHA, THETA))
+def test_spin_flip_and_readout_maps_swap_by_label(state, probe):
+    readout = GhzReadout(state, *probe)
+    sources = list(dict.fromkeys(occ for (occ, _), _ in readout._tagged.items()))
+    for interval, relabel in zip(readout.table.intervals, readout._maps, strict=True):
+        # ``0.0 +`` clears a negative zero's sign, and nothing else
+        assert bits(spin_flip(state, interval.flips)) == [
+            (swapped_by_label(occ, interval.flips), (0.0 + amp).real.hex(), (0.0 + amp).imag.hex())
+            for occ, amp in state.items()
+        ]
+        assert list(relabel.items()) == [(occ, swapped_by_label(occ, interval.flips)) for occ in sources]
+
+
 def test_an_infinite_part_stays_infinite():
     # the taps' batch multiplies by 1 + 0j, and inf * 0.0 is NaN; the direct tagging only adds 0.0
     state = FockKet(scheme_register, {pattern_occupation("HVHVHV"): complex(math.inf, 1.0)})
